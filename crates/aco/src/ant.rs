@@ -53,7 +53,23 @@ impl AntParams {
     ) -> f64 {
         let distance = instance.distance(from, to).max(1e-12);
         let visibility = 1.0 / distance;
-        pheromone.get(from, to).powf(self.alpha) * visibility.powf(self.beta)
+        pow(pheromone.get(from, to), self.alpha) * pow(visibility, self.beta)
+    }
+}
+
+/// `x^e`, skipping libm's `pow` at the Ant System exponents: `x¹` is `x`
+/// exactly and `x * x` is the correctly rounded square, so the fast paths
+/// are never less accurate than `powf`. Every desirability in this crate
+/// goes through here, which keeps the one-shot and table backends
+/// bit-identical.
+#[inline]
+pub(crate) fn pow(x: f64, e: f64) -> f64 {
+    if e == 1.0 {
+        x
+    } else if e == 2.0 {
+        x * x
+    } else {
+        x.powf(e)
     }
 }
 
@@ -63,6 +79,11 @@ impl AntParams {
 /// Returns the finished tour. The per-step fitness vector has length `n`
 /// (one slot per city) with zeros for visited cities, so the selector sees
 /// exactly the sparse vectors the paper describes.
+///
+/// A step costs `O(k)` besides the selector: only the `k` unvisited slots
+/// are rewritten (a city's slot is zeroed once, when it is visited), and
+/// the one fitness buffer of the tour is moved into [`Fitness`] and taken
+/// back after each selection instead of being copied.
 pub fn construct_tour(
     instance: &TspInstance,
     pheromone: &PheromoneMatrix,
@@ -78,48 +99,84 @@ pub fn construct_tour(
         "pheromone matrix and instance disagree on the city count"
     );
     assert!(start < n, "start city {start} out of range");
-
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut current = start;
-    visited[current] = true;
-    order.push(current);
-
     assert!(
         (0.0..=1.0).contains(&params.q0),
         "q0 must lie in [0, 1], got {}",
         params.q0
     );
+
+    let mut order = Vec::with_capacity(n);
+    let mut unvisited = Unvisited::new(n, start);
+    let mut current = start;
+    order.push(current);
+
     let mut fitness_buf = vec![0.0; n];
     for _ in 1..n {
-        for (j, slot) in fitness_buf.iter_mut().enumerate() {
-            *slot = if visited[j] {
-                0.0
-            } else {
-                params.desirability(instance, pheromone, current, j)
-            };
+        for &j in unvisited.cities() {
+            fitness_buf[j] = params.desirability(instance, pheromone, current, j);
         }
         // ACS pseudo-random proportional rule: exploit with probability q0,
         // otherwise fall through to the roulette wheel selection.
         let next = if params.q0 > 0.0 && rng.next_f64() < params.q0 {
-            fitness_buf
+            unvisited
+                .cities()
                 .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite desirabilities"))
-                .map(|(j, _)| j)
-                .expect("non-empty fitness vector")
+                .copied()
+                .max_by(|&a, &b| {
+                    fitness_buf[a]
+                        .partial_cmp(&fitness_buf[b])
+                        .expect("finite desirabilities")
+                })
+                .expect("unvisited cities remain")
         } else {
-            let fitness = Fitness::new(fitness_buf.clone())?;
-            selector.select(&fitness, rng)?
+            let fitness = Fitness::new(fitness_buf)?;
+            let drawn = selector.select(&fitness, rng);
+            fitness_buf = fitness.into_values();
+            drawn?
         };
-        debug_assert!(!visited[next], "selector returned a visited city");
-        visited[next] = true;
+        unvisited.remove(next);
+        fitness_buf[next] = 0.0;
         order.push(next);
         current = next;
     }
 
     let length = instance.tour_length(&order);
     Ok(Tour { order, length })
+}
+
+/// The unvisited cities of one tour as a swap-removable list plus a
+/// city → slot map: listing is `O(k)`, removal and membership are `O(1)`.
+struct Unvisited {
+    cities: Vec<usize>,
+    /// `position[c]` is `c`'s slot in `cities`, `usize::MAX` once visited.
+    position: Vec<usize>,
+}
+
+impl Unvisited {
+    /// Every city except `start`.
+    fn new(n: usize, start: usize) -> Self {
+        let cities: Vec<usize> = (0..start).chain(start + 1..n).collect();
+        let mut position = vec![usize::MAX; n];
+        for (slot, &city) in cities.iter().enumerate() {
+            position[city] = slot;
+        }
+        Self { cities, position }
+    }
+
+    fn cities(&self) -> &[usize] {
+        &self.cities
+    }
+
+    /// Mark `city` visited; panics if it already was.
+    fn remove(&mut self, city: usize) {
+        let slot = self.position[city];
+        assert!(slot != usize::MAX, "city {city} was already visited");
+        self.cities.swap_remove(slot);
+        if let Some(&moved) = self.cities.get(slot) {
+            self.position[moved] = slot;
+        }
+        self.position[city] = usize::MAX;
+    }
 }
 
 /// Construct one complete tour using shared [`DesirabilityTables`] instead
@@ -169,13 +226,8 @@ pub fn construct_tour_dynamic(
 
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    // The unvisited set as a swap-removable list plus an index-position map,
-    // so removals are O(1) and the exact fallback scan is O(k).
-    let mut unvisited: Vec<usize> = (0..n).filter(|&j| j != start).collect();
-    let mut position: Vec<usize> = vec![usize::MAX; n];
-    for (slot, &city) in unvisited.iter().enumerate() {
-        position[city] = slot;
-    }
+    // O(1) removals keep the exact fallback scan O(k).
+    let mut unvisited = Unvisited::new(n, start);
     let mut current = start;
     visited[current] = true;
     order.push(current);
@@ -183,21 +235,13 @@ pub fn construct_tour_dynamic(
     for _ in 1..n {
         let next = if params.q0 > 0.0 && rng.next_f64() < params.q0 {
             tables
-                .best_unvisited(current, &unvisited)
+                .best_unvisited(current, unvisited.cities())
                 .expect("unvisited cities remain")
         } else {
-            tables.next_city(current, &visited, &unvisited, rng)?
+            tables.next_city(current, &visited, unvisited.cities(), rng)?
         };
-        debug_assert!(!visited[next], "drew a visited city");
+        unvisited.remove(next);
         visited[next] = true;
-        // Swap-remove `next` from the unvisited list.
-        let slot = position[next];
-        let moved = *unvisited.last().expect("unvisited cities remain");
-        unvisited.swap_remove(slot);
-        if slot < unvisited.len() {
-            position[moved] = slot;
-        }
-        position[next] = usize::MAX;
         order.push(next);
         current = next;
     }
@@ -379,6 +423,80 @@ mod tests {
         );
         let nn = instance.nearest_neighbor_tour(0);
         assert_eq!(a.order, nn.order);
+    }
+
+    #[test]
+    fn exploitation_never_revisits_when_every_desirability_underflows() {
+        // τ^α = 0.5^2000 underflows to 0.0, so every unvisited city ties
+        // with the visited ones at zero; the arg-max must still come from
+        // the unvisited cities.
+        let n = 10;
+        let instance = TspInstance::random_euclidean(n, 12);
+        let pheromone = PheromoneMatrix::new(n, 0.5);
+        let params = AntParams {
+            alpha: 2000.0,
+            beta: 1.0,
+            q0: 1.0,
+        };
+        assert_eq!(params.desirability(&instance, &pheromone, 0, 1), 0.0);
+        let mut rng = MersenneTwister64::seed_from_u64(13);
+        let tour = construct_tour(
+            &instance,
+            &pheromone,
+            &params,
+            &LogBiddingSelector::default(),
+            0,
+            &mut rng,
+        )
+        .unwrap();
+        assert!(tour.is_valid(n), "revisited a city: {:?}", tour.order);
+    }
+
+    #[test]
+    #[should_panic(expected = "already visited")]
+    fn a_selector_returning_a_visited_city_panics() {
+        /// Always picks city 0, the start.
+        struct StartCity;
+        impl Selector for StartCity {
+            fn name(&self) -> &'static str {
+                "start-city"
+            }
+            fn is_exact(&self) -> bool {
+                false
+            }
+            fn select(
+                &self,
+                _: &Fitness,
+                _: &mut dyn RandomSource,
+            ) -> Result<usize, SelectionError> {
+                Ok(0)
+            }
+        }
+        let (instance, pheromone) = setup(5, 14);
+        let mut rng = MersenneTwister64::seed_from_u64(1);
+        let _ = construct_tour(
+            &instance,
+            &pheromone,
+            &AntParams::default(),
+            &StartCity,
+            0,
+            &mut rng,
+        );
+    }
+
+    #[test]
+    fn exponent_fast_paths_match_powf() {
+        for x in [0.0, 1e-300, 0.37, 1.0, 3.5, 1e150] {
+            assert_eq!(pow(x, 1.0), x.powf(1.0));
+            assert_eq!(pow(x, 2.5), x.powf(2.5));
+            assert_eq!(pow(x, 0.0), 1.0);
+            let square = pow(x, 2.0);
+            let reference = x.powf(2.0);
+            assert!(
+                (square - reference).abs() <= f64::EPSILON * reference,
+                "{x}: {square} vs {reference}"
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! dynamic-selection fast path for tour construction.
 //!
 //! The classic construction ([`construct_tour`](crate::ant::construct_tour))
-//! re-derives the full desirability vector `τ(c, j)^α · η(c, j)^β` from
-//! scratch at **every step of every ant** — `O(n)` work plus a vector
-//! allocation per step, `O(ants · n²)` per colony iteration — even though
-//! within one iteration the pheromone matrix never changes. These tables
-//! turn that around:
+//! re-derives the desirabilities `τ(c, j)^α · η(c, j)^β` of the `k`
+//! unvisited cities at **every step of every ant** — `O(k)` work per step,
+//! `O(ants · n²)` per colony iteration — even though within one iteration
+//! the pheromone matrix never changes. These tables turn that around:
 //!
 //! * One [`FenwickSampler`] per *current city* row, built once and then
 //!   **updated in place** as the pheromone changes: evaporation multiplies a
@@ -29,7 +28,7 @@ use lrb_core::{DynamicSampler, SelectionError};
 use lrb_dynamic::FenwickSampler;
 use lrb_rng::RandomSource;
 
-use crate::ant::AntParams;
+use crate::ant::{pow, AntParams};
 use crate::pheromone::PheromoneMatrix;
 use crate::tsp::TspInstance;
 
@@ -87,7 +86,7 @@ impl DesirabilityTables {
             for j in 0..n {
                 if c != j {
                     let distance = instance.distance(c, j).max(1e-12);
-                    visibility_pow[c * n + j] = (1.0 / distance).powf(params.beta);
+                    visibility_pow[c * n + j] = pow(1.0 / distance, params.beta);
                 }
             }
         }
@@ -130,7 +129,7 @@ impl DesirabilityTables {
                 if j == c {
                     0.0
                 } else {
-                    pheromone.get(c, j).powf(self.alpha) * self.visibility_pow[c * self.n + j]
+                    pow(pheromone.get(c, j), self.alpha) * self.visibility_pow[c * self.n + j]
                 }
             })
             .collect()
@@ -143,7 +142,7 @@ impl DesirabilityTables {
     /// System case); MMAS colonies use [`reload`](Self::reload).
     pub fn evaporate(&mut self, rate: f64) {
         assert!((0.0..=1.0).contains(&rate));
-        let factor = (1.0 - rate).powf(self.alpha);
+        let factor = pow(1.0 - rate, self.alpha);
         for c in 0..self.n {
             self.scales[c] *= factor;
             if self.scales[c] < MIN_SCALE {
@@ -187,7 +186,7 @@ impl DesirabilityTables {
         }
         for (row, col) in [(a, b), (b, a)] {
             let true_weight =
-                pheromone.get(row, col).powf(self.alpha) * self.visibility_pow[row * self.n + col];
+                pow(pheromone.get(row, col), self.alpha) * self.visibility_pow[row * self.n + col];
             self.rows[row]
                 .update(col, true_weight / self.scales[row])
                 .expect("desirabilities are finite and non-negative");
@@ -304,11 +303,7 @@ mod tests {
                     continue;
                 }
                 let direct = params.desirability(&instance, &pheromone, c, j);
-                let tabled = tables.weight(c, j);
-                assert!(
-                    (direct - tabled).abs() <= 1e-12 * direct.max(1.0),
-                    "({c},{j}): {tabled} vs {direct}"
-                );
+                assert_eq!(tables.weight(c, j), direct, "({c},{j})");
             }
         }
     }

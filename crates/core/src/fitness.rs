@@ -93,6 +93,12 @@ impl Fitness {
         &self.values
     }
 
+    /// Unwrap the validated values, handing the buffer back to the caller
+    /// (who can refill it and validate it again without reallocating).
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -173,6 +179,15 @@ mod tests {
         assert_eq!(f.non_zero_count(), 3);
         assert!(!f.is_all_zero());
         assert_eq!(f.support(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn into_values_returns_the_same_buffer() {
+        let values = vec![0.0, 1.5, 2.0];
+        let ptr = values.as_ptr();
+        let back = Fitness::new(values).unwrap().into_values();
+        assert_eq!(back, vec![0.0, 1.5, 2.0]);
+        assert_eq!(back.as_ptr(), ptr, "the buffer must move, not be copied");
     }
 
     #[test]

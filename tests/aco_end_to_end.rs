@@ -10,8 +10,9 @@ use lrb_aco::{
 };
 use lrb_core::parallel::{IndependentRouletteSelector, LogBiddingSelector};
 use lrb_core::sequential::LinearScanSelector;
-use lrb_core::Selector;
-use lrb_rng::{MersenneTwister64, SeedableSource};
+use lrb_core::{Fitness, SelectionError, Selector};
+use lrb_rng::{MersenneTwister64, RandomSource, SeedableSource};
+use std::sync::Mutex;
 
 #[test]
 fn colony_with_exact_selection_solves_a_circle_instance_well() {
@@ -119,27 +120,73 @@ fn coloring_colony_beats_or_matches_greedy_and_stays_proper() {
     assert!(aco.colors_used <= graph.max_degree() + 1);
 }
 
+/// Delegates to an inner selector and keeps a copy of every fitness
+/// vector it is asked to draw from.
+struct RecordingSelector<S> {
+    inner: S,
+    seen: Mutex<Vec<Vec<f64>>>,
+}
+
+impl<S: Selector> Selector for RecordingSelector<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn is_exact(&self) -> bool {
+        self.inner.is_exact()
+    }
+
+    fn select(
+        &self,
+        fitness: &Fitness,
+        rng: &mut dyn RandomSource,
+    ) -> Result<usize, SelectionError> {
+        self.seen
+            .lock()
+            .expect("recording poisoned")
+            .push(fitness.values().to_vec());
+        self.inner.select(fitness, rng)
+    }
+}
+
 #[test]
 fn sparse_fitness_vectors_shrink_as_the_tour_grows() {
-    // The motivation for O(log k): at step t of the construction, exactly
-    // n − t fitness values are non-zero. Verify by instrumenting one tour.
+    // The motivation for O(log k): after t cities are visited, the step's
+    // fitness vector has length n with exactly n − t non-zeros, zeros
+    // exactly at the visited cities, and the desirability formula's value
+    // at every unvisited city.
     let n = 30;
     let instance = TspInstance::random_euclidean(n, 11);
     let pheromone = PheromoneMatrix::new(n, 1.0);
     let params = AntParams::default();
+    let selector = RecordingSelector {
+        inner: LogBiddingSelector::default(),
+        seen: Mutex::new(Vec::new()),
+    };
     let mut rng = MersenneTwister64::seed_from_u64(1);
-    let tour = construct_tour(
-        &instance,
-        &pheromone,
-        &params,
-        &LogBiddingSelector::default(),
-        0,
-        &mut rng,
-    )
-    .unwrap();
+    let tour = construct_tour(&instance, &pheromone, &params, &selector, 0, &mut rng).unwrap();
     assert!(tour.is_valid(n));
-    // The tour visits every city exactly once, so the k values run n-1 … 1.
-    // (construct_tour already asserts the selector never picks a visited
-    // city; this test documents the shrinking-k structure.)
-    assert_eq!(tour.order.len(), n);
+
+    let seen = selector.seen.into_inner().unwrap();
+    assert_eq!(seen.len(), n - 1, "one selection per step");
+    for (step, values) in seen.iter().enumerate() {
+        let visited = &tour.order[..=step];
+        let current = tour.order[step];
+        let t = visited.len();
+        assert_eq!(values.len(), n, "step {step}: vector length");
+        let non_zero = values.iter().filter(|&&v| v > 0.0).count();
+        assert_eq!(non_zero, n - t, "step {step}: non-zero count");
+        for (j, &value) in values.iter().enumerate() {
+            if visited.contains(&j) {
+                assert_eq!(value, 0.0, "step {step}: visited city {j}");
+            } else {
+                let expected = params.desirability(&instance, &pheromone, current, j);
+                assert_eq!(
+                    value.to_bits(),
+                    expected.to_bits(),
+                    "step {step}: city {j} from {current}"
+                );
+            }
+        }
+    }
 }
