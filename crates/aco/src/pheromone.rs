@@ -70,6 +70,18 @@ impl PheromoneMatrix {
             "evaporation rate must be in [0, 1]"
         );
         let keep = 1.0 - rate;
+        // Every trail already lies in [min, max] and keep <= 1, so the
+        // product never exceeds max; with min = 0 (the Ant System) it cannot
+        // fall below min either, and the plain multiply gives the clamp's
+        // bits. On an AMD EPYC (Zen 4) host the clamp loop ran 1.5x slower
+        // whenever the linker placed it on a 64-byte boundary; the multiply
+        // loop runs at one speed wherever it lands.
+        if self.min == 0.0 {
+            for v in &mut self.values {
+                *v *= keep;
+            }
+            return;
+        }
         let (min, max) = (self.min, self.max);
         for v in &mut self.values {
             *v = (*v * keep).clamp(min, max);
@@ -152,6 +164,30 @@ mod tests {
         for a in 0..3 {
             for b in 0..3 {
                 assert!((m.get(a, b) - 0.9).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn unclamped_evaporation_matches_the_clamped_product_bit_for_bit() {
+        // Subnormal, ordinary and capped trails, with and without an upper
+        // bound.
+        let mut open = PheromoneMatrix::new(4, 1e-310);
+        open.deposit_tour(&[0, 2, 1, 3], 0.7);
+        let mut capped = PheromoneMatrix::with_bounds(4, 0.0, 3.0);
+        capped.evaporate(0.5);
+        capped.deposit_tour(&[0, 2, 1, 3], 2.0);
+        for mut m in [open, capped] {
+            let (min, max) = m.bounds();
+            for rate in [0.0, 0.1, 0.5, 1.0] {
+                let expected: Vec<u64> = m
+                    .values
+                    .iter()
+                    .map(|v| (v * (1.0 - rate)).clamp(min, max).to_bits())
+                    .collect();
+                m.evaporate(rate);
+                let got: Vec<u64> = m.values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expected, "rate {rate}");
             }
         }
     }

@@ -12,9 +12,9 @@
 //! [`service_workload`](lrb_bench::service_workload) driver: request `j` is
 //! scheduled at `start + j/rate` and latency is measured from that scheduled
 //! instant, so a stalled write path surfaces in the tail instead of being
-//! hidden by coordinated omission. Two sections run: coalesced single draws
-//! (the flat-combining aggregator) and batch draws (the fused buffer-fill
-//! path).
+//! hidden by coordinated omission. Two sections run: single draws (each a
+//! `DRAW` run of one on its connection) and batch draws (the fused
+//! buffer-fill path).
 //!
 //! Gates (all recorded as [`GateMargin`]s in the `--json 1` report, the
 //! `BENCH_service.json` baseline):

@@ -47,8 +47,8 @@ pub struct ServiceLoadConfig {
     pub requests: u64,
     /// Client connections the requests are striped across.
     pub connections: usize,
-    /// Draws per request: `0` issues single draws (the server coalesces
-    /// them through its flat-combining aggregator), `b > 0` issues
+    /// Draws per request: `0` issues single draws (the server serves each
+    /// as a run of one on the connection's RNG), `b > 0` issues
     /// `draw_batch(b)` (the fused buffer-fill path).
     pub batch: u32,
 }
@@ -68,7 +68,7 @@ impl Default for ServiceLoadConfig {
 /// `BENCH_service.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct ServiceLoadReport {
-    /// `"single"` (aggregated draws) or `"batch"` (buffer fills).
+    /// `"single"` (one `DRAW` per request) or `"batch"` (buffer fills).
     pub mode: String,
     /// Offered request rate, requests per second.
     pub rate_hz: f64,

@@ -460,7 +460,8 @@ impl ServiceClient {
         Ok(indices)
     }
 
-    /// One draw (server-side RNG, coalesced by the server's aggregator).
+    /// One draw (server-side RNG). A lone draw is served as a run of one;
+    /// use [`draw_pipelined`](Self::draw_pipelined) to stream many.
     pub fn draw(&mut self) -> Result<usize, ServiceError> {
         let payload = self.call(OpCode::Draw, &[])?;
         let mut cursor = Cursor::new(&payload);

@@ -10,10 +10,9 @@
 //! protocol over TCP or Unix-domain sockets served by hand-rolled
 //! **epoll reactor threads** (raw syscalls, no async runtime, no
 //! thread-per-connection — see [`server`] for the sizing and
-//! backpressure knobs), with a **flat-combining aggregator** that
-//! coalesces concurrent single-draw requests into batched buffer fills
-//! against the engine's fused batch path, and pipelined runs of draws
-//! per connection coalescing into fused batches.
+//! backpressure knobs). Every run of consecutive `DRAW` frames on a
+//! connection, a lone draw included, is served by one batched two-level
+//! fill through the engine's fused batch path.
 //!
 //! * [`ShardedService`] / [`ServiceCore`] — the in-process sharded core:
 //!   partitioning, two-level draws, cross-shard atomic update batches,
@@ -25,7 +24,6 @@
 //! * [`affinity`] — core topology discovery and opt-in
 //!   [`CoreMap`]-driven pinning of the service's long-lived threads
 //!   (`LRB_PIN` overrides; a graceful no-op off Linux).
-//! * [`DrawAggregator`] — flat combining for single draws.
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
 //!   [`protocol`] for the frame format).
 //! * [`ServiceTelemetry`] — request/draw/update histograms, routing
@@ -64,7 +62,6 @@
 #![warn(missing_docs)]
 
 pub mod affinity;
-pub mod aggregator;
 pub mod client;
 mod conn;
 pub mod error;
@@ -76,7 +73,6 @@ pub mod sharded;
 pub mod telemetry;
 
 pub use affinity::{parse_cpu_list, CoreMap, Pinner, Topology};
-pub use aggregator::DrawAggregator;
 pub use client::{ClientConfig, ClientStats, ServiceClient};
 pub use error::ServiceError;
 pub use server::{ServerAddr, ServerConfig, ServiceServer};

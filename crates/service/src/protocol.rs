@@ -40,7 +40,8 @@ pub const MAX_BATCH: u32 = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
-    /// One draw (server-side RNG), coalesced by the aggregator.
+    /// One draw (server-side RNG). Consecutive DRAWs on a connection are
+    /// served together as one batched draw.
     Draw = 0x01,
     /// `count` draws in one response.
     DrawBatch = 0x02,

@@ -10,8 +10,7 @@
 //!                                   │  ▲
 //!                       decoded     │  │ completions (response bytes)
 //!                       frame runs  ▼  │ + eventfd wakeup
-//!                                 worker pool 0..W ──▶ ServiceCore /
-//!                                                      DrawAggregator
+//!                                 worker pool 0..W ──▶ ServiceCore
 //! ```
 //!
 //! Each reactor thread owns an epoll instance and the [`Connection`] state
@@ -61,7 +60,6 @@ mod imp {
 
     use lrb_rng::MersenneTwister64;
 
-    use crate::aggregator::DrawAggregator;
     use crate::conn::Connection;
     use crate::protocol::Frame;
     use crate::server::execute_run;
@@ -297,10 +295,9 @@ mod imp {
         jobs: Arc<JobQueue>,
         reactors: Arc<Vec<Arc<ReactorShared>>>,
         core: Arc<ServiceCore>,
-        aggregator: Arc<DrawAggregator>,
     ) {
         while let Some(job) = jobs.pop() {
-            let bytes = execute_run(&job.frames, &core, &aggregator, &job.rng);
+            let bytes = execute_run(&job.frames, &core, &job.rng);
             let frames = job.frames.len();
             reactors[job.reactor].post_completion(Completion {
                 token: job.token,

@@ -3,9 +3,9 @@
 //!
 //! On Linux the server runs [`ServerConfig::reactors`] epoll reactor
 //! threads (the private `reactor` module) multiplexing every connection, plus a
-//! small worker pool that executes decoded frames against the shard /
-//! aggregator machinery — total thread count is **O(reactors + workers +
-//! shards)** regardless of how many connections are open. Connections are
+//! small worker pool that executes decoded frames against the sharded
+//! core — total thread count is **O(reactors + workers + shards)**
+//! regardless of how many connections are open. Connections are
 //! nonblocking; idle ones cost nothing (no poll-loop wakeups, no thread
 //! stacks). On other platforms a blocking thread-per-connection fallback
 //! keeps the same wire behaviour.
@@ -14,11 +14,11 @@
 //!
 //! * frames execute strictly in arrival order and responses are written in
 //!   that order, so a pipelining client correlates by position;
-//! * a **run** of consecutive `DRAW` frames from one connection coalesces
-//!   into a single fused two-level batch ([`ServiceCore::draw_many`]) —
-//!   pipelined single draws get batch-draw throughput automatically;
-//! * a lone `DRAW` goes through the shared [`DrawAggregator`], so
-//!   concurrent *connections* still coalesce with each other;
+//! * a **run** of `k >= 1` consecutive `DRAW` frames from one connection
+//!   is served by a single fused two-level batch
+//!   ([`ServiceCore::draw_many`]) on the connection's own RNG — pipelined
+//!   single draws get batch-draw throughput automatically, and a lone
+//!   `DRAW` is simply a run of one;
 //! * at most [`ServerConfig::inflight_budget`] decoded-but-unanswered
 //!   frames per connection; beyond that the reactor stops reading the
 //!   connection (TCP flow control pushes back on the client);
@@ -39,7 +39,6 @@ use std::time::{Duration, Instant};
 
 use lrb_rng::MersenneTwister64;
 
-use crate::aggregator::DrawAggregator;
 use crate::protocol::{codes, encode_err, encode_ok, error_code, Cursor, Frame, OpCode, MAX_BATCH};
 use crate::sharded::ServiceCore;
 
@@ -216,9 +215,7 @@ impl ServiceServer {
         config: ServerConfig,
     ) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
-        let aggregator = Arc::new(DrawAggregator::new(Arc::clone(&core), seed));
-        let (runtime, accept) =
-            Runtime::start(core, aggregator, listener, Arc::clone(&stop), seed, config)?;
+        let (runtime, accept) = Runtime::start(core, listener, Arc::clone(&stop), seed, config)?;
         Ok(Self {
             addr,
             stop,
@@ -325,7 +322,6 @@ struct Runtime {
 impl Runtime {
     fn start(
         core: Arc<ServiceCore>,
-        aggregator: Arc<DrawAggregator>,
         listener: Incoming,
         stop: Arc<AtomicBool>,
         seed: u64,
@@ -365,10 +361,9 @@ impl Runtime {
             let jobs = Arc::clone(&jobs);
             let reactors = Arc::clone(&reactors_shared);
             let core = Arc::clone(&core);
-            let aggregator = Arc::clone(&aggregator);
             worker_threads.push(std::thread::spawn(move || {
                 core.pinner().pin_current();
-                crate::reactor::run_worker(jobs, reactors, core, aggregator)
+                crate::reactor::run_worker(jobs, reactors, core)
             }));
         }
 
@@ -478,7 +473,6 @@ struct Runtime {
 impl Runtime {
     fn start(
         core: Arc<ServiceCore>,
-        aggregator: Arc<DrawAggregator>,
         listener: Incoming,
         stop: Arc<AtomicBool>,
         seed: u64,
@@ -487,9 +481,7 @@ impl Runtime {
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let handlers = Arc::clone(&handlers);
-            std::thread::spawn(move || {
-                fallback_accept_loop(listener, core, aggregator, stop, seed, handlers)
-            })
+            std::thread::spawn(move || fallback_accept_loop(listener, core, stop, seed, handlers))
         };
         Ok((Self { handlers }, accept))
     }
@@ -513,7 +505,6 @@ impl Runtime {
 fn fallback_accept_loop(
     listener: Incoming,
     core: Arc<ServiceCore>,
-    aggregator: Arc<DrawAggregator>,
     stop: Arc<AtomicBool>,
     seed: u64,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -559,7 +550,6 @@ fn fallback_accept_loop(
         )));
         let handler = {
             let core = Arc::clone(&core);
-            let aggregator = Arc::clone(&aggregator);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut reader = crate::protocol::FrameReader::new();
@@ -569,7 +559,7 @@ fn fallback_accept_loop(
                         Ok(None) => continue,
                         Err(_) => return,
                     };
-                    let bytes = execute_run(std::slice::from_ref(&frame), &core, &aggregator, &rng);
+                    let bytes = execute_run(std::slice::from_ref(&frame), &core, &rng);
                     if stream.write_all(&bytes).is_err() {
                         return;
                     }
@@ -589,16 +579,17 @@ fn fallback_accept_loop(
 /// Execute a run of frames from one connection, in order, and return the
 /// encoded responses (one per frame, same order).
 ///
-/// Consecutive `DRAW` frames coalesce into one fused two-level batch; a
-/// lone `DRAW` rides the cross-connection [`DrawAggregator`]. Protocol and
-/// selection errors are answered in-band, so this never fails — transport
-/// problems are the caller's (the reactor's) concern.
+/// Every run of `k >= 1` consecutive empty-payload `DRAW` frames is served
+/// by one [`ServiceCore::draw_many`] on the connection's own RNG and
+/// recorded as one batch of `k` in the telemetry. Protocol and selection
+/// errors are answered in-band, so this never fails — transport problems
+/// are the caller's (the reactor's) concern.
 pub(crate) fn execute_run(
     frames: &[Frame],
-    core: &Arc<ServiceCore>,
-    aggregator: &Arc<DrawAggregator>,
-    rng: &Arc<Mutex<MersenneTwister64>>,
+    core: &ServiceCore,
+    rng: &Mutex<MersenneTwister64>,
 ) -> Vec<u8> {
+    let is_draw = |frame: &Frame| frame.opcode == OpCode::Draw as u8 && frame.payload.is_empty();
     let mut out = Vec::new();
     // Runs are serial per connection, so this lock is never contended.
     let mut rng = rng.lock().expect("connection rng poisoned");
@@ -606,54 +597,39 @@ pub(crate) fn execute_run(
     let mut i = 0;
     while i < frames.len() {
         let started = Instant::now();
-        // Coalesce a run of consecutive single draws into one fused batch.
-        if frames[i].opcode == OpCode::Draw as u8 && frames[i].payload.is_empty() {
-            let mut j = i + 1;
-            while j < frames.len()
-                && frames[j].opcode == OpCode::Draw as u8
-                && frames[j].payload.is_empty()
-            {
-                j += 1;
-            }
-            let n = j - i;
-            if n >= 2 {
-                match core.draw_many(&mut *rng, n) {
-                    Ok(indices) => {
-                        for index in indices {
-                            encode_ok(&mut out, &(index as u64).to_le_bytes());
-                        }
-                    }
-                    Err(e) => {
-                        let code = error_code(&e);
-                        let message = e.to_string();
-                        for _ in 0..n {
-                            encode_err(&mut out, code, &message);
-                        }
+        let run = frames[i..].iter().take_while(|f| is_draw(f)).count();
+        if run == 0 {
+            execute_one(&frames[i], core, &mut rng, &mut out);
+        } else {
+            match core.draw_many(&mut *rng, run) {
+                Ok(indices) => {
+                    telemetry.record_batch(run as u64);
+                    for index in indices {
+                        encode_ok(&mut out, &(index as u64).to_le_bytes());
                     }
                 }
-                for _ in 0..n {
-                    telemetry.record_request_span(started);
+                Err(e) => {
+                    let code = error_code(&e);
+                    let message = e.to_string();
+                    for _ in 0..run {
+                        encode_err(&mut out, code, &message);
+                    }
                 }
-                i = j;
-                continue;
             }
         }
-        execute_one(&frames[i], core, aggregator, &mut rng, &mut out);
-        telemetry.record_request_span(started);
-        i += 1;
+        let served = run.max(1);
+        for _ in 0..served {
+            telemetry.record_request_span(started);
+        }
+        i += served;
     }
     out
 }
 
-/// Handle one decoded frame, appending its encoded response to `out`.
-/// Protocol and selection errors are answered in-band.
-fn execute_one(
-    frame: &Frame,
-    core: &Arc<ServiceCore>,
-    aggregator: &Arc<DrawAggregator>,
-    rng: &mut MersenneTwister64,
-    out: &mut Vec<u8>,
-) {
+/// Handle one decoded frame that is not part of a `DRAW` run, appending
+/// its encoded response to `out`. Protocol and selection errors are
+/// answered in-band.
+fn execute_one(frame: &Frame, core: &ServiceCore, rng: &mut MersenneTwister64, out: &mut Vec<u8>) {
     let Some(opcode) = OpCode::from_u8(frame.opcode) else {
         encode_err(
             out,
@@ -664,10 +640,11 @@ fn execute_one(
     };
     // Decode-and-execute; any ServiceError becomes an in-band error frame.
     let outcome: Result<Vec<u8>, (u8, String)> = match opcode {
-        OpCode::Draw => aggregator
-            .draw()
-            .map(|index| (index as u64).to_le_bytes().to_vec())
-            .map_err(|e| (error_code(&e), e.to_string())),
+        // `execute_run` serves every empty-payload DRAW as part of a run,
+        // so a DRAW that reaches here carries a payload.
+        OpCode::Draw => {
+            Err(decode_empty(&frame.payload).expect_err("empty-payload DRAWs are served as runs"))
+        }
         OpCode::DrawBatch => decode_count(&frame.payload).and_then(|count| {
             core.draw_many(rng, count as usize)
                 .map(|indices| {
@@ -695,32 +672,42 @@ fn execute_one(
                 .map(|()| Vec::new())
                 .map_err(|e| (error_code(&e), e.to_string()))
         }),
-        OpCode::Publish => core
-            .publish_all()
-            .map(|versions| {
-                let mut payload = Vec::with_capacity(4 + 8 * versions.len());
-                payload.extend_from_slice(&(versions.len() as u32).to_le_bytes());
-                for version in versions {
-                    payload.extend_from_slice(&version.to_le_bytes());
-                }
-                payload
-            })
-            .map_err(|e| (error_code(&e), e.to_string())),
-        OpCode::Totals => {
+        OpCode::Publish => decode_empty(&frame.payload).and_then(|()| {
+            core.publish_all()
+                .map(|versions| {
+                    let mut payload = Vec::with_capacity(4 + 8 * versions.len());
+                    payload.extend_from_slice(&(versions.len() as u32).to_le_bytes());
+                    for version in versions {
+                        payload.extend_from_slice(&version.to_le_bytes());
+                    }
+                    payload
+                })
+                .map_err(|e| (error_code(&e), e.to_string()))
+        }),
+        OpCode::Totals => decode_empty(&frame.payload).map(|()| {
             let totals = core.shard_totals();
             let mut payload = Vec::with_capacity(4 + 8 * totals.len());
             payload.extend_from_slice(&(totals.len() as u32).to_le_bytes());
             for total in totals {
                 payload.extend_from_slice(&total.to_bits().to_le_bytes());
             }
-            Ok(payload)
+            payload
+        }),
+        OpCode::Metrics => {
+            decode_empty(&frame.payload).map(|()| core.metrics().to_json().into_bytes())
         }
-        OpCode::Metrics => Ok(core.metrics().to_json().into_bytes()),
     };
     match outcome {
         Ok(payload) => encode_ok(out, &payload),
         Err((code, message)) => encode_err(out, code, &message),
     }
+}
+
+/// Reject any payload on an opcode that takes none.
+fn decode_empty(payload: &[u8]) -> Result<(), (u8, String)> {
+    Cursor::new(payload)
+        .done()
+        .map_err(|e| (codes::PROTOCOL, e.to_string()))
 }
 
 fn decode_count(payload: &[u8]) -> Result<u32, (u8, String)> {
@@ -778,4 +765,43 @@ fn decode_scale(payload: &[u8]) -> Result<f64, (u8, String)> {
         Ok(factor)
     }
     inner(payload).map_err(|e| (codes::PROTOCOL, e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::read_response;
+    use crate::sharded::{ServiceConfig, ShardedService};
+    use lrb_rng::SeedableSource;
+
+    fn draw_frame() -> Frame {
+        Frame {
+            opcode: OpCode::Draw as u8,
+            payload: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_draw_run_is_served_and_recorded_as_one_batch() {
+        let service =
+            ShardedService::new((1..=16).map(f64::from).collect(), ServiceConfig::default())
+                .unwrap();
+        let core = service.core();
+        let rng = Mutex::new(MersenneTwister64::seed_from_u64(0x5EED));
+        let telemetry = core.telemetry();
+        let (batches, batched_draws) = (telemetry.batches(), telemetry.batched_draws());
+
+        let frames = vec![draw_frame(); 16];
+        let bytes = execute_run(&frames, &core, &rng);
+
+        assert_eq!(telemetry.batches(), batches + 1);
+        assert_eq!(telemetry.batched_draws(), batched_draws + 16);
+        let mut reader = bytes.as_slice();
+        for _ in 0..16 {
+            let payload = read_response(&mut reader).unwrap();
+            let index = u64::from_le_bytes(payload.try_into().unwrap());
+            assert!(index < 16);
+        }
+        assert!(reader.is_empty(), "one response per frame");
+    }
 }

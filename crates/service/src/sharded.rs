@@ -231,8 +231,8 @@ struct Shard {
 
 /// The shared, thread-safe service state: shards, the level-one totals and
 /// the service telemetry. Everything on it is callable from any thread;
-/// clones of the `Arc<ServiceCore>` are what the server, the aggregator
-/// and the publisher threads hold.
+/// clones of the `Arc<ServiceCore>` are what the server and the publisher
+/// threads hold.
 #[derive(Debug)]
 pub struct ServiceCore {
     shards: Vec<Shard>,
@@ -416,9 +416,9 @@ impl ServiceCore {
     /// grouped per shard and each group is served by **one** buffer fill
     /// through the shard's
     /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
-    /// engine's fused batch path — so an aggregated batch costs one
-    /// snapshot acquisition and one streamed fill per touched shard
-    /// instead of a draw-by-draw walk. Under the default
+    /// engine's fused batch path — so a batch costs one snapshot
+    /// acquisition and one streamed fill per touched shard instead of a
+    /// draw-by-draw walk. Under the default
     /// [`RouteLayout::V2Parallel`] the per-shard fills run across the
     /// fan-out lanes and the result is bit-identical at any lane count
     /// (see the module docs).
@@ -731,12 +731,12 @@ impl ServiceCore {
             )
             .counter(
                 "lrb_service_agg_batches_total",
-                "Coalesced draw batches executed by the aggregator",
+                "DRAW runs served as one batched draw (a lone DRAW is a run of one)",
                 t.batches(),
             )
             .counter(
                 "lrb_service_agg_batched_draws_total",
-                "Single-draw requests served inside a coalesced batch",
+                "DRAW requests served inside a DRAW run",
                 t.batched_draws(),
             )
             .counter(
@@ -835,7 +835,7 @@ impl ServiceCore {
 /// The owning handle: the shared [`ServiceCore`] plus the per-shard
 /// publisher threads (when [`ServiceConfig::publish_interval`] is set).
 /// Dropping it stops and joins the publishers; clones of
-/// [`core`](Self::core) handed to servers/aggregators keep the shards
+/// [`core`](Self::core) handed to servers keep the shards
 /// alive independently.
 #[derive(Debug)]
 pub struct ShardedService {
@@ -873,7 +873,7 @@ impl ShardedService {
         })
     }
 
-    /// A clone of the shared core for servers, aggregators and tests.
+    /// A clone of the shared core for servers and tests.
     pub fn core(&self) -> Arc<ServiceCore> {
         Arc::clone(&self.core)
     }

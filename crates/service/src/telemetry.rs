@@ -77,9 +77,9 @@ pub struct ServiceTelemetry {
     updates: Counter,
     /// Shard publishes performed through the service.
     publishes: Counter,
-    /// Coalesced batches executed by the draw aggregator.
+    /// DRAW runs served by the server, one batched draw each.
     batches: Counter,
-    /// Single-draw requests that rode in a coalesced batch.
+    /// DRAW requests served inside those runs.
     batched_draws: Counter,
     /// Batches routed through the v2 parallel draw planner.
     planner_batches: Counter,
@@ -156,8 +156,7 @@ impl ServiceTelemetry {
             .push(ServiceEvent::ShardPublish { shard, version });
     }
 
-    /// Record one coalesced aggregator batch of `draws` single-draw
-    /// requests.
+    /// Record one served run of `draws` consecutive `DRAW` requests.
     pub(crate) fn record_batch(&self, draws: u64) {
         self.batches.incr();
         self.batched_draws.add(draws);
@@ -257,12 +256,12 @@ impl ServiceTelemetry {
         self.planner_batches.get()
     }
 
-    /// Coalesced aggregator batches so far.
+    /// `DRAW` runs served so far (a lone `DRAW` is a run of one).
     pub fn batches(&self) -> u64 {
         self.batches.get()
     }
 
-    /// Single draws that were served inside a coalesced batch.
+    /// `DRAW` requests served inside those runs so far.
     pub fn batched_draws(&self) -> u64 {
         self.batched_draws.get()
     }

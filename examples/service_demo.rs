@@ -7,7 +7,7 @@
 //! Builds a 4-shard [`ShardedService`] over 1 000 categories with per-shard
 //! publisher threads, fronts it with a [`ServiceServer`] (UDS on Unix, TCP
 //! loopback elsewhere), then exercises the protocol from a few concurrent
-//! [`ServiceClient`]s: coalesced single draws, batch draws, weight updates
+//! [`ServiceClient`]s: single draws, batch draws, weight updates
 //! and an evaporation scale. Finishes by printing the merged service
 //! metrics (per-shard publish/read histograms included).
 
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = ServiceServer::bind_tcp(service.core(), "127.0.0.1:0", 42)?;
     println!("serving at {:?}", server.local_addr());
 
-    // A handful of concurrent clients issuing single draws: the server's
-    // flat-combining aggregator coalesces them into batched fills.
+    // A handful of concurrent clients issuing single draws: the server
+    // serves each connection's DRAWs on that connection's own RNG.
     let mut readers = Vec::new();
     for _ in 0..4 {
         let addr = server.local_addr().clone();

@@ -71,8 +71,8 @@ fn uds_mixed_traffic_stays_coherent() {
     let path = socket_path("mixed");
     let server = ServiceServer::bind_uds(service.core(), &path, 0x11FE).unwrap();
 
-    // Concurrent clients: two single-draw loops (exercising the
-    // aggregator), one batch-draw loop, one writer doing updates.
+    // Concurrent clients: two single-draw loops (each DRAW a run of one),
+    // one batch-draw loop, one writer doing updates.
     let mut handles = Vec::new();
     for _ in 0..2 {
         let path = path.clone();
@@ -121,8 +121,8 @@ fn uds_mixed_traffic_stays_coherent() {
     assert_eq!(totals[0], 31.0);
     assert_eq!(totals[3], (19..24).map(f64::from).sum::<f64>() + 50.0);
 
-    // The aggregator actually coalesced work and the metrics document
-    // reports it.
+    // Every lone DRAW was served and counted as a run of one, and the
+    // metrics document reports the counters.
     let metrics = client.metrics_json().unwrap();
     for needle in [
         "lrb_service_draws_total",
@@ -133,9 +133,10 @@ fn uds_mixed_traffic_stays_coherent() {
         assert!(metrics.contains(needle), "missing {needle} in metrics");
     }
     let telemetry = service.telemetry();
-    assert!(
-        telemetry.batched_draws() >= 200,
-        "single draws bypassed the aggregator"
+    assert_eq!(
+        telemetry.batched_draws(),
+        200,
+        "each lone DRAW counts once; DRAW_BATCH is not a DRAW run"
     );
     assert!(
         telemetry.publishes() >= 40,
@@ -177,6 +178,108 @@ fn uds_errors_map_to_wire_codes() {
     }
     client.publish().unwrap();
     assert_eq!(client.totals().unwrap(), vec![1.0, 2.0]);
+    drop(server);
+}
+
+/// A raw UDS connection for tests that write frames the client never
+/// sends (payload-carrying DRAWs, unknown opcodes, pipelined bursts).
+#[cfg(unix)]
+fn raw_uds(path: &std::path::Path) -> std::os::unix::net::UnixStream {
+    let stream = std::os::unix::net::UnixStream::connect(path).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+#[cfg(unix)]
+fn expect_remote_error(stream: &mut impl std::io::Read, expected: u8, what: &str) {
+    match protocol::read_response(stream) {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, expected, "{what}"),
+        other => panic!("{what}: expected remote error {expected}, got {other:?}"),
+    }
+}
+
+#[cfg(unix)]
+fn expect_draw(stream: &mut impl std::io::Read, categories: u64) -> u64 {
+    let payload = protocol::read_response(stream).unwrap();
+    let index = u64::from_le_bytes(payload.try_into().expect("8-byte DRAW payload"));
+    assert!(index < categories);
+    index
+}
+
+#[cfg(unix)]
+#[test]
+fn uds_payload_less_requests_reject_trailing_bytes() {
+    use protocol::{codes, encode_request, OpCode};
+    use std::io::Write;
+
+    let service = ShardedService::new(weights_1_to_24(), ServiceConfig::default()).unwrap();
+    let path = socket_path("trailing");
+    let server = ServiceServer::bind_uds(service.core(), &path, 0x7A11).unwrap();
+    let mut stream = raw_uds(&path);
+
+    let mut burst = Vec::new();
+    encode_request(&mut burst, OpCode::Draw, &[0]);
+    encode_request(&mut burst, OpCode::Publish, &[1, 2]);
+    encode_request(&mut burst, OpCode::Totals, &[0; 8]);
+    encode_request(&mut burst, OpCode::Metrics, b"{}");
+    // An unknown opcode has no `OpCode`: frame it by hand.
+    burst.extend_from_slice(&1u32.to_le_bytes());
+    burst.push(0x7F);
+    stream.write_all(&burst).unwrap();
+    for what in ["DRAW", "PUBLISH", "TOTALS", "METRICS", "opcode 0x7F"] {
+        expect_remote_error(&mut stream, codes::PROTOCOL, what);
+    }
+    // The rejected PUBLISH did not run.
+    assert_eq!(service.telemetry().publishes(), 0);
+
+    // The same connection still serves a valid DRAW.
+    let mut draw = Vec::new();
+    encode_request(&mut draw, OpCode::Draw, &[]);
+    stream.write_all(&draw).unwrap();
+    expect_draw(&mut stream, 24);
+    drop(server);
+}
+
+#[cfg(unix)]
+#[test]
+fn uds_selection_errors_reach_lone_and_pipelined_draws() {
+    use protocol::{codes, encode_request, OpCode};
+    use std::io::Write;
+
+    let service = ShardedService::new(vec![0.0; 8], ServiceConfig::default()).unwrap();
+    let path = socket_path("all-zero");
+    let server = ServiceServer::bind_uds(service.core(), &path, 0xA11).unwrap();
+
+    let mut client = ServiceClient::connect_uds(&path).unwrap();
+    match client.draw() {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, codes::ALL_ZERO_FITNESS),
+        other => panic!("expected an all-zero error, got {other:?}"),
+    }
+
+    // Four DRAWs in one write: every one is answered, in order.
+    let mut stream = raw_uds(&path);
+    let mut burst = Vec::new();
+    for _ in 0..4 {
+        encode_request(&mut burst, OpCode::Draw, &[]);
+    }
+    stream.write_all(&burst).unwrap();
+    for _ in 0..4 {
+        expect_remote_error(&mut stream, codes::ALL_ZERO_FITNESS, "pipelined DRAW");
+    }
+
+    // The connection stays usable: give category 5 mass, publish, draw it.
+    let mut next = Vec::new();
+    let mut update = 5u64.to_le_bytes().to_vec();
+    update.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    encode_request(&mut next, OpCode::Update, &update);
+    encode_request(&mut next, OpCode::Publish, &[]);
+    encode_request(&mut next, OpCode::Draw, &[]);
+    stream.write_all(&next).unwrap();
+    protocol::read_response(&mut stream).unwrap();
+    protocol::read_response(&mut stream).unwrap();
+    assert_eq!(expect_draw(&mut stream, 8), 5);
     drop(server);
 }
 
