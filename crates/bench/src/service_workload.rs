@@ -28,12 +28,20 @@
 //!   connection. [`measure_pipeline_speedup`] is the closed-loop companion
 //!   comparing serialized draws against the pipelined client on one
 //!   connection.
+//!
+//! [`measure_batch_speedup`] is the in-process planner comparison. Its
+//! baseline is [`SequentialOracle`], the v1 sequential route layout rebuilt
+//! here from the service's public API, so the production crate carries one
+//! batch layout and the oracle lives with the bench that times it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lrb_core::sharding::TotalsCut;
+use lrb_core::SelectionError;
 use lrb_obs::Histogram;
-use lrb_service::{ServerAddr, ServiceClient, ServiceError};
+use lrb_rng::RandomSource;
+use lrb_service::{ServerAddr, ServiceClient, ServiceCore, ServiceError};
 use serde::Serialize;
 
 use crate::engine_workload::LatencySummary;
@@ -398,13 +406,88 @@ pub fn measure_pipeline_speedup(
     })
 }
 
-/// In-process comparison of the v2 parallel batch planner against the v1
-/// sequential oracle: same weights, same per-shard engines (fenwick
-/// pinned — see [`measure_batch_speedup`]), draws measured through
-/// [`ServiceCore::draw_into_with_plan`] with a warm
-/// [`DrawPlan`](lrb_service::DrawPlan) on each side.
+/// The v1 sequential route layout, kept as the baseline the batch planner
+/// is timed against and built only on [`ServiceCore`]'s public API.
 ///
-/// [`ServiceCore::draw_into_with_plan`]: lrb_service::ServiceCore::draw_into_with_plan
+/// One batch threads the caller's RNG through everything in a fixed order:
+/// one level-one pick per slot over a [`TotalsCut`] of
+/// [`ServiceCore::shard_totals`], then one fused
+/// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) per touched
+/// shard, in shard order, into that shard's contiguous segment of a fill
+/// buffer, then a single cursor pass that scatters the fills back to slot
+/// order. The scratch buffers are reused across batches.
+#[derive(Debug)]
+pub struct SequentialOracle<'a> {
+    core: &'a ServiceCore,
+    /// `offsets[s]` = global index of shard `s`'s first category.
+    offsets: Vec<usize>,
+    /// Slot → owning shard.
+    assignment: Vec<usize>,
+    /// Draws per shard, then (during the scatter) each shard's read cursor.
+    cursors: Vec<usize>,
+    /// Shard-grouped local draws.
+    fill: Vec<usize>,
+}
+
+impl<'a> SequentialOracle<'a> {
+    /// An oracle drawing from `core`.
+    pub fn new(core: &'a ServiceCore) -> Self {
+        let offsets = (0..core.shard_count())
+            .scan(0usize, |start, s| {
+                let offset = *start;
+                *start += core.shard_engine(s).len();
+                Some(offset)
+            })
+            .collect();
+        Self {
+            core,
+            offsets,
+            assignment: Vec::new(),
+            cursors: Vec::new(),
+            fill: Vec::new(),
+        }
+    }
+
+    /// Fill `out` with independent draws, in v1 order.
+    pub fn draw_into(
+        &mut self,
+        rng: &mut dyn RandomSource,
+        out: &mut [usize],
+    ) -> Result<(), SelectionError> {
+        let cut = TotalsCut::from_totals(self.core.shard_totals());
+        self.assignment.clear();
+        self.cursors.clear();
+        self.cursors.resize(cut.len(), 0);
+        for _ in 0..out.len() {
+            let (shard, _) = cut
+                .pick_uniform(rng.next_f64())
+                .ok_or(SelectionError::AllZeroFitness)?;
+            self.assignment.push(shard);
+            self.cursors[shard] += 1;
+        }
+        self.fill.resize(out.len(), 0);
+        let mut start = 0usize;
+        for (shard, cursor) in self.cursors.iter_mut().enumerate() {
+            let count = std::mem::replace(cursor, start);
+            if count > 0 {
+                let segment = &mut self.fill[start..start + count];
+                self.core
+                    .shard_engine(shard)
+                    .read(|snapshot| snapshot.sample_into(rng, segment))?;
+                start += count;
+            }
+        }
+        for (slot, &shard) in out.iter_mut().zip(&self.assignment) {
+            *slot = self.offsets[shard] + self.fill[self.cursors[shard]];
+            self.cursors[shard] += 1;
+        }
+        Ok(())
+    }
+}
+
+/// In-process comparison of the batch planner against the
+/// [`SequentialOracle`]: same weights, same per-shard engines (fenwick
+/// fixed — see [`measure_batch_speedup`]), each side with warm scratch.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchPlanReport {
     /// Categories served.
@@ -418,10 +501,6 @@ pub struct BatchPlanReport {
     /// Fan-out lanes the parallel side resolved to (including the
     /// submitting thread).
     pub lanes: u64,
-    /// Threads the parallel side's pinner actually pinned (0 when the
-    /// policy is [`CoreMap::None`](lrb_service::CoreMap::None) or the
-    /// host refuses the syscall).
-    pub pinned_threads: u64,
     /// Parallel-planner draws per second.
     pub parallel_rps: f64,
     /// Sequential-oracle draws per second.
@@ -430,14 +509,14 @@ pub struct BatchPlanReport {
     pub speedup: f64,
 }
 
-/// Measure [`BatchPlanReport`]: two identical in-process services — one on
-/// [`RouteLayout::V2Parallel`](lrb_service::RouteLayout::V2Parallel) with
-/// auto fan-out, one on
-/// [`RouteLayout::V1Sequential`](lrb_service::RouteLayout::V1Sequential) —
-/// each timed over `iters` warm batches of `batch` draws (best of two
-/// rounds per side).
+/// Measure [`BatchPlanReport`]: one in-process service with auto fan-out,
+/// timed through
+/// [`ServiceCore::draw_into_with_plan`] with a warm
+/// [`DrawPlan`](lrb_service::DrawPlan), against the [`SequentialOracle`]
+/// over the same service — each over `iters` warm batches of `batch` draws
+/// (best of two rounds per side).
 ///
-/// Both sides pin the **fenwick** backend: under the auto heuristic a
+/// The service fixes the **fenwick** backend: under the auto heuristic a
 /// draw-only workload drifts to stochastic acceptance, whose O(1) fills
 /// would leave the sequential level-one assignment as the Amdahl floor
 /// and make the comparison about backend choice, not the planner.
@@ -446,67 +525,60 @@ pub fn measure_batch_speedup(
     shards: usize,
     batch: usize,
     iters: usize,
-    core_map: lrb_service::CoreMap,
 ) -> Result<BatchPlanReport, ServiceError> {
     use lrb_engine::{BackendChoice, EngineConfig};
-    use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-    use lrb_service::{DrawPlan, RouteLayout, ServiceConfig, ShardedService};
+    use lrb_rng::{Philox4x32, SeedableSource};
+    use lrb_service::{DrawPlan, ServiceConfig, ShardedService};
 
     let weights: Vec<f64> = (0..categories).map(|i| ((i % 97) + 1) as f64).collect();
-    let engine = EngineConfig {
-        backend: BackendChoice::Fixed("fenwick"),
-        ..EngineConfig::default()
-    };
-    let build = |layout: RouteLayout, core_map: lrb_service::CoreMap| {
-        ShardedService::new(
-            weights.clone(),
-            ServiceConfig {
-                shards,
-                engine: engine.clone(),
-                route_layout: layout,
-                fanout_workers: 0,
-                core_map,
-                ..ServiceConfig::default()
+    let service = ShardedService::new(
+        weights,
+        ServiceConfig {
+            shards,
+            engine: EngineConfig {
+                backend: BackendChoice::Fixed("fenwick"),
+                ..EngineConfig::default()
             },
-        )
-    };
-    let parallel = build(RouteLayout::V2Parallel, core_map)?;
-    let sequential = build(RouteLayout::V1Sequential, lrb_service::CoreMap::None)?;
+            ..ServiceConfig::default()
+        },
+    )?;
 
     let mut out = vec![0usize; batch.max(1)];
     let iters = iters.max(1);
-    let mut time_side = |service: &ShardedService, seed: u64| -> f64 {
-        let mut plan = DrawPlan::new();
+    let mut time_side = |seed: u64, draw: &mut dyn FnMut(&mut dyn RandomSource, &mut [usize])| {
         let mut rng = Philox4x32::seed_from_u64(seed);
-        // Warm the plan's buffers and every shard's snapshot out of the
+        // Warm the scratch buffers and every shard's snapshot out of the
         // timed window.
         for _ in 0..3 {
-            service
-                .draw_into_with_plan(&mut rng as &mut dyn RandomSource, &mut out, &mut plan)
-                .expect("warm-up batch failed");
+            draw(&mut rng, &mut out);
         }
         let mut best = f64::INFINITY;
         for _ in 0..2 {
             let started = Instant::now();
             for _ in 0..iters {
-                service
-                    .draw_into_with_plan(&mut rng as &mut dyn RandomSource, &mut out, &mut plan)
-                    .expect("timed batch failed");
+                draw(&mut rng, &mut out);
             }
             best = best.min(started.elapsed().as_secs_f64());
         }
         (iters * out.len()) as f64 / best.max(f64::MIN_POSITIVE)
     };
 
-    let parallel_rps = time_side(&parallel, 0x5eed_0001);
-    let sequential_rps = time_side(&sequential, 0x5eed_0002);
+    let mut plan = DrawPlan::new();
+    let parallel_rps = time_side(0x5eed_0001, &mut |rng, out| {
+        service
+            .draw_into_with_plan(rng, out, &mut plan)
+            .expect("planner batch failed");
+    });
+    let mut oracle = SequentialOracle::new(&service);
+    let sequential_rps = time_side(0x5eed_0002, &mut |rng, out| {
+        oracle.draw_into(rng, out).expect("oracle batch failed");
+    });
     Ok(BatchPlanReport {
         categories: categories as u64,
         shards: shards as u64,
         batch: out.len() as u64,
         iters: iters as u64,
-        lanes: parallel.fanout_lanes() as u64,
-        pinned_threads: parallel.pinner().pinned_threads(),
+        lanes: service.fanout_lanes() as u64,
         parallel_rps,
         sequential_rps,
         speedup: parallel_rps / sequential_rps.max(f64::MIN_POSITIVE),
@@ -601,7 +673,7 @@ mod tests {
 
     #[test]
     fn batch_speedup_measures_both_planners() {
-        let report = measure_batch_speedup(256, 4, 512, 4, lrb_service::CoreMap::None).unwrap();
+        let report = measure_batch_speedup(256, 4, 512, 4).unwrap();
         assert_eq!(report.categories, 256);
         assert_eq!(report.shards, 4);
         assert_eq!(report.batch, 512);

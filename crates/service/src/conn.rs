@@ -222,7 +222,11 @@ impl<S: Read + Write> Connection<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_request, OpCode};
+    use crate::error::ServiceError;
+    use crate::protocol::{codes, encode_request, read_response, OpCode, MAX_FRAME};
+    use crate::server::execute_run;
+    use crate::sharded::{ServiceConfig, ShardedService};
+    use lrb_rng::{RandomSource, SplitMix64};
 
     /// In-memory "socket": reads from `input` (then `WouldBlock`, like an
     /// idle nonblocking socket), writes into `written` accepting at most
@@ -386,6 +390,219 @@ mod tests {
         );
         assert_eq!(conn.outbound_len(), 4096 - 100);
         assert!(conn.outbound_len() > 1024, "backlog exceeds a 1 KiB cap");
+    }
+
+    /// What a request frame's response must look like.
+    #[derive(Debug, Clone, Copy)]
+    enum Expect {
+        /// Unknown opcode: a `PROTOCOL` error naming it.
+        Unknown(u8),
+        /// A single draw: one in-range `u64` index.
+        Draw,
+        /// `DRAW_BATCH` of this count: the count, then that many indices.
+        DrawBatch(u32),
+        /// `UPDATE` / `UPDATE_BATCH` / `SCALE`: an empty OK.
+        Empty,
+        /// `PUBLISH` / `TOTALS`: a shard count, then one `u64` per shard.
+        PerShard,
+        /// `METRICS`: a JSON document.
+        Metrics,
+        /// A known opcode with a random payload: any in-band answer.
+        Any,
+    }
+
+    /// One length-prefixed request frame with a raw opcode byte.
+    fn raw_frame(wire: &mut Vec<u8>, opcode: u8, payload: &[u8]) {
+        wire.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
+        wire.push(opcode);
+        wire.extend_from_slice(payload);
+    }
+
+    /// One random request: a valid frame of a random opcode, the same
+    /// opcode with a random payload, or an unknown opcode.
+    fn random_frame(rng: &mut SplitMix64, wire: &mut Vec<u8>, categories: u64) -> Expect {
+        let random_payload = |rng: &mut SplitMix64| -> Vec<u8> {
+            let len = rng.next_u64() % 24;
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        };
+        match rng.next_u64() % 10 {
+            0 => {
+                // 0x00 or 0x09..=0xFF: never a known opcode.
+                let opcode = match rng.next_u64() % 248 {
+                    0 => 0,
+                    k => 8 + k as u8,
+                };
+                raw_frame(wire, opcode, &random_payload(rng));
+                Expect::Unknown(opcode)
+            }
+            1 => {
+                let opcode = 1 + (rng.next_u64() % 8) as u8;
+                raw_frame(wire, opcode, &random_payload(rng));
+                Expect::Any
+            }
+            kind => {
+                let mut payload = Vec::new();
+                let weight = |rng: &mut SplitMix64| (1 + rng.next_u64() % 100) as f64;
+                let (opcode, expect) = match kind {
+                    2 | 3 => (OpCode::Draw, Expect::Draw),
+                    4 => {
+                        let count = (rng.next_u64() % 40) as u32;
+                        payload.extend_from_slice(&count.to_le_bytes());
+                        (OpCode::DrawBatch, Expect::DrawBatch(count))
+                    }
+                    5 => {
+                        payload.extend_from_slice(&(rng.next_u64() % categories).to_le_bytes());
+                        payload.extend_from_slice(&weight(rng).to_bits().to_le_bytes());
+                        (OpCode::Update, Expect::Empty)
+                    }
+                    6 => {
+                        let count = (rng.next_u64() % 4) as u32;
+                        payload.extend_from_slice(&count.to_le_bytes());
+                        for _ in 0..count {
+                            payload.extend_from_slice(&(rng.next_u64() % categories).to_le_bytes());
+                            payload.extend_from_slice(&weight(rng).to_bits().to_le_bytes());
+                        }
+                        (OpCode::UpdateBatch, Expect::Empty)
+                    }
+                    7 => {
+                        let factor = [0.5f64, 1.0, 2.0][(rng.next_u64() % 3) as usize];
+                        payload.extend_from_slice(&factor.to_bits().to_le_bytes());
+                        (OpCode::Scale, Expect::Empty)
+                    }
+                    8 => {
+                        if rng.next_u64().is_multiple_of(2) {
+                            (OpCode::Publish, Expect::PerShard)
+                        } else {
+                            (OpCode::Totals, Expect::PerShard)
+                        }
+                    }
+                    _ => (OpCode::Metrics, Expect::Metrics),
+                };
+                encode_request(wire, opcode, &payload);
+                expect
+            }
+        }
+    }
+
+    fn check_response(response: Result<Vec<u8>, ServiceError>, expect: Expect, shards: usize) {
+        let ok_len = |response: &Result<Vec<u8>, ServiceError>| match response {
+            Ok(payload) => Some(payload.len()),
+            Err(_) => None,
+        };
+        match expect {
+            Expect::Unknown(opcode) => match response {
+                Err(ServiceError::Remote { code, message }) => {
+                    assert_eq!(code, codes::PROTOCOL, "{message}");
+                    assert!(message.contains(&format!("{opcode:#04x}")), "{message}");
+                }
+                other => panic!("unknown opcode {opcode:#04x} answered {other:?}"),
+            },
+            Expect::Draw => assert_eq!(ok_len(&response), Some(8), "{response:?}"),
+            Expect::DrawBatch(count) => {
+                let payload = response.expect("a valid DRAW_BATCH must succeed");
+                assert_eq!(payload.len(), 4 + 8 * count as usize);
+                assert_eq!(payload[..4], count.to_le_bytes());
+            }
+            Expect::Empty => assert_eq!(ok_len(&response), Some(0), "{response:?}"),
+            Expect::PerShard => {
+                assert_eq!(ok_len(&response), Some(4 + 8 * shards), "{response:?}")
+            }
+            Expect::Metrics => {
+                assert_eq!(response.expect("METRICS must succeed").first(), Some(&b'{'))
+            }
+            Expect::Any => assert!(
+                matches!(response, Ok(_) | Err(ServiceError::Remote { .. })),
+                "{response:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn arbitrary_byte_streams_get_one_ordered_response_per_frame() {
+        // Random request streams — valid frames of every opcode, known
+        // opcodes with random payloads, unknown opcodes — arrive in random
+        // chunks under a random in-flight budget and run through the
+        // reactor's own sequence: read_frames → take_run → execute_run →
+        // complete. Half the streams end in an illegal length prefix.
+        let service = ShardedService::new(
+            (1..=16).map(f64::from).collect(),
+            ServiceConfig {
+                shards: 2,
+                fanout_workers: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let core = service.core();
+        for case in 0..128u64 {
+            let mut rng = SplitMix64::new(0xB17E_5EED ^ case);
+            let mut wire = Vec::new();
+            let expects: Vec<Expect> = (0..1 + rng.next_u64() % 24)
+                .map(|_| random_frame(&mut rng, &mut wire, core.len() as u64))
+                .collect();
+            let frames_end = wire.len();
+            let bad_prefix = case % 2 == 1;
+            if bad_prefix {
+                let over = MAX_FRAME as u32 + 1;
+                let len = match rng.next_u64() % 2 {
+                    0 => 0,
+                    _ => over + (rng.next_u64() % u64::from(u32::MAX - over + 1)) as u32,
+                };
+                wire.extend_from_slice(&len.to_le_bytes());
+                // Bytes a body would have been read from.
+                wire.extend((0..rng.next_u64() % 16).map(|_| rng.next_u64() as u8));
+            }
+            let budget = 1 + (rng.next_u64() % 8) as usize;
+
+            let mut conn = Connection::new(FakeSock::with_input(Vec::new()), case);
+            let mut fed = 0usize;
+            let mut answered = 0usize;
+            let mut failed = false;
+            for _ in 0..100_000 {
+                if fed < wire.len() {
+                    let chunk = (1 + rng.next_u64() % 32) as usize;
+                    let next = (fed + chunk).min(wire.len());
+                    conn.sock.input.extend_from_slice(&wire[fed..next]);
+                    fed = next;
+                }
+                if !failed {
+                    if let Err(error) = conn.read_frames(budget) {
+                        assert!(bad_prefix, "case {case}: valid stream rejected: {error}");
+                        assert_eq!(error.kind(), io::ErrorKind::InvalidData, "case {case}");
+                        failed = true;
+                    }
+                }
+                while let Some(run) = conn.take_run() {
+                    let bytes = execute_run(&run, &core, &conn.rng);
+                    conn.complete(&bytes, run.len());
+                    conn.read_deferred = false;
+                    answered += run.len();
+                    assert!(conn.flush().unwrap(), "case {case}: flush stalled");
+                }
+                if failed || (fed == wire.len() && conn.sock.unread() == 0) {
+                    break;
+                }
+            }
+            assert_eq!(failed, bad_prefix, "case {case}");
+            assert_eq!(answered, expects.len(), "case {case}: frames lost");
+            assert_eq!(conn.inflight(), 0, "case {case}");
+            if bad_prefix {
+                // The reader stopped right after the illegal prefix: not
+                // one body byte was read.
+                assert_eq!(conn.sock.at, frames_end + 4, "case {case}");
+            }
+
+            let mut responses = conn.sock.written.as_slice();
+            for (k, &expect) in expects.iter().enumerate() {
+                let response = read_response(&mut responses);
+                assert!(
+                    !matches!(response, Err(ServiceError::Io(_))),
+                    "case {case}: response {k} missing"
+                );
+                check_response(response, expect, core.shard_count());
+            }
+            assert!(responses.is_empty(), "case {case}: extra response bytes");
+        }
     }
 
     #[test]

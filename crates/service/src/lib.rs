@@ -21,9 +21,6 @@
 //!   module docs): one master draw, per-shard Philox substreams,
 //!   reusable [`DrawPlan`] scratch and a persistent fan-out pool —
 //!   bit-deterministic at any lane count and allocation-free once warm.
-//! * [`affinity`] — core topology discovery and opt-in
-//!   [`CoreMap`]-driven pinning of the service's long-lived threads
-//!   (`LRB_PIN` overrides; a graceful no-op off Linux).
 //! * [`ServiceServer`] / [`ServiceClient`] — the wire layer (see
 //!   [`protocol`] for the frame format).
 //! * [`ServiceTelemetry`] — request/draw/update histograms, routing
@@ -53,15 +50,14 @@
 //! [`SelectionEngine`]: lrb_engine::SelectionEngine
 
 // Unsafe is denied crate-wide; the audited exceptions opt back in with a
-// module-level `#![allow(unsafe_code)]` — the same audited-island idiom
-// as `lrb-obs`'s ring and the engine's hot-swap. Three islands exist:
-// the raw epoll/eventfd syscall surface in `reactor::sys`, the
-// `sched_setaffinity` call in `affinity::sys`, and the scoped job
-// hand-off in `fanout::job` (see each module's safety notes).
+// module-level allow of the `unsafe_code` lint — the same audited-island
+// idiom as `lrb-obs`'s ring and the engine's hot-swap. Two islands exist:
+// the raw epoll/eventfd syscall surface in `reactor::sys` and the scoped
+// job hand-off in `fanout::job` (see each module's safety notes). CI
+// fails if the lint is allowed in any other file of this crate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod client;
 mod conn;
 pub mod error;
@@ -72,11 +68,8 @@ pub mod server;
 pub mod sharded;
 pub mod telemetry;
 
-pub use affinity::{parse_cpu_list, CoreMap, Pinner, Topology};
 pub use client::{ClientConfig, ClientStats, ServiceClient};
 pub use error::ServiceError;
 pub use server::{ServerAddr, ServerConfig, ServiceServer};
-pub use sharded::{
-    DrawPlan, RouteLayout, ServiceConfig, ServiceCore, ShardedService, ROUTE_LAYOUT_VERSION,
-};
+pub use sharded::{DrawPlan, ServiceConfig, ServiceCore, ShardedService, ROUTE_LAYOUT_VERSION};
 pub use telemetry::{ServiceEvent, ServiceTelemetry, SERVICE_JOURNAL_CAPACITY};

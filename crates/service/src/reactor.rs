@@ -29,8 +29,9 @@
 //! `std` exposes no epoll API and crates.io is unreachable, so the five
 //! syscalls this module needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
 //! `eventfd`, `close`) are declared directly against libc, which `std`
-//! already links. This is the crate's single audited `#[allow(unsafe_code)]`
-//! island, confined to the [`sys`] submodule:
+//! already links. They are confined to the [`sys`] submodule, one of the
+//! crate's two audited unsafe islands (the other is the fan-out pool's
+//! scoped job hand-off in `fanout::job`):
 //!
 //! * every fd is owned by exactly one wrapper ([`sys::Epoll`] or the
 //!   eventfd's `File`) and closed exactly once on drop;
@@ -549,7 +550,7 @@ mod imp {
     }
 }
 
-/// Raw epoll/eventfd syscall surface — the audited unsafe island (see the
+/// Raw epoll/eventfd syscall surface — an audited unsafe island (see the
 /// module docs for the safety argument).
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]

@@ -349,11 +349,7 @@ impl Runtime {
                 budget: config.inflight_budget.max(1),
                 max_outbound: config.max_outbound_bytes.max(1),
             };
-            let pinner = Arc::clone(core.pinner());
-            reactor_threads.push(std::thread::spawn(move || {
-                pinner.pin_current();
-                crate::reactor::run_reactor(ctx)
-            }));
+            reactor_threads.push(std::thread::spawn(move || crate::reactor::run_reactor(ctx)));
         }
 
         let mut worker_threads = Vec::with_capacity(worker_count);
@@ -362,7 +358,6 @@ impl Runtime {
             let reactors = Arc::clone(&reactors_shared);
             let core = Arc::clone(&core);
             worker_threads.push(std::thread::spawn(move || {
-                core.pinner().pin_current();
                 crate::reactor::run_worker(jobs, reactors, core)
             }));
         }

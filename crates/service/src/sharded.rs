@@ -16,35 +16,38 @@
 //! map insert, never a rebuild — see the engine's stall fix), and each
 //! shard's dedicated publisher thread periodically publishes and refreshes
 //! its total cell. Because the level-one cells move independently, a cut
-//! can be momentarily stale against a shard's freshly published snapshot;
-//! draws that land on a shard whose snapshot went all-zero refresh the
-//! totals and retry once, so staleness costs latency, never correctness.
+//! can be momentarily stale against a shard's freshly published snapshot.
+//! Draws that land on a shard whose snapshot went all-zero refresh the
+//! totals and retry once, so *that* case costs only latency. In general,
+//! though, staleness **does** cost correctness: a draw that mixes one
+//! shard's fresh snapshot with another's stale cell follows a law no
+//! published state ever had (2 shards × 4 equal weights, `scale_all(0.25)`
+//! then `publish_shard(0)` alone gives P(shard 0) = 0.20, not 0.50). The
+//! fix, one consistent global view per draw, is ROADMAP item 2.
 //!
 //! ## Batch planning: `ROUTE_LAYOUT` v2
 //!
 //! Batched draws ([`ServiceCore::draw_into`]) run through a versioned
-//! **batch planner**. The current layout, v2
-//! ([`RouteLayout::V2Parallel`]), consumes exactly **one** master `u64`
-//! from the caller's RNG and derives everything else from counter-based
-//! Philox substreams: substream 0 yields the level-one assignment
-//! uniforms, substream `1 + s` yields shard `s`'s in-shard fill stream.
-//! Because each shard's stream is independent of execution order, the
-//! per-shard fills can run **in parallel** across the service's fan-out
-//! lanes while the result stays a pure function of `(snapshots, master
-//! draw)` — bit-identical at any lane count, the same contract discipline
-//! as the engine's `STREAM_LAYOUT_VERSION = 2` batch driver. The previous
-//! sequential layout ([`RouteLayout::V1Sequential`]) threads the caller's
-//! RNG through every pick and fill in shard order; it is kept as the
-//! deterministic oracle the parity tests diff against.
+//! **batch planner**. The layout, v2 ([`ROUTE_LAYOUT_VERSION`]), consumes
+//! exactly **one** master `u64` from the caller's RNG and derives
+//! everything else from counter-based Philox substreams: substream 0 yields
+//! the level-one assignment uniforms, substream `1 + s` yields shard `s`'s
+//! in-shard fill stream. Because each shard's stream is independent of
+//! execution order, the per-shard fills can run **in parallel** across the
+//! service's fan-out lanes while the result stays a pure function of
+//! `(snapshots, master draw)` — bit-identical at any lane count, the same
+//! contract discipline as the engine's `STREAM_LAYOUT_VERSION = 2` batch
+//! driver. The sequential v1 layout, which threads the caller's RNG through
+//! every pick and fill in shard order, lives on in `lrb-bench` as the
+//! baseline of the `service_batch_speedup` gate.
 //!
-//! Both layouts share the same three-phase shape over a reusable
-//! [`DrawPlan`]: assign (one level-one pick per slot, counting per-shard
-//! draws), fill (per touched shard, **one** fused
-//! [`Snapshot::sample_into`] into that shard's contiguous segment of the
-//! plan's fill buffer) and a **single-pass cursor scatter** back to slot
-//! order — `O(batch + shards)`, not the old `O(shards · batch)` rescan.
-//! With a warm plan the whole path performs no allocation (see
-//! `tests/service_alloc.rs`).
+//! A batch runs in three phases over a reusable [`DrawPlan`]: assign (one
+//! level-one pick per slot, counting per-shard draws), fill (per touched
+//! shard, **one** fused [`Snapshot::sample_into`] into that shard's
+//! contiguous segment of the plan's fill buffer) and a **single-pass cursor
+//! scatter** back to slot order — `O(batch + shards)`, not the old
+//! `O(shards · batch)` rescan. With a warm plan the whole path performs no
+//! allocation (see `tests/service_alloc.rs`).
 //!
 //! [`Snapshot::sample_into`]: lrb_engine::Snapshot::sample_into
 //! [`TotalsCut`]: lrb_core::sharding::TotalsCut
@@ -61,13 +64,12 @@ use lrb_engine::{EngineConfig, SelectionEngine};
 use lrb_obs::MetricsSnapshot;
 use lrb_rng::RandomSource;
 
-use crate::affinity::{CoreMap, Pinner};
 use crate::fanout::FanoutPool;
 use crate::telemetry::ServiceTelemetry;
 
 /// Version of the batch-planner route layout (how a batch's randomness is
 /// laid out across level-one picks and per-shard fills). Bumped when the
-/// derivation changes; [`RouteLayout::V2Parallel`] is this version.
+/// derivation changes; see the module docs for the current derivation.
 pub const ROUTE_LAYOUT_VERSION: u32 = 2;
 
 /// Substream of the master draw that yields level-one assignment uniforms.
@@ -81,21 +83,6 @@ const SHARD_SUBSTREAM_BASE: u64 = 1;
 /// lanes exist: below it, the hand-off latency outweighs the parallel fill
 /// (determinism is unaffected — lane count never changes results).
 const FANOUT_MIN_BATCH: usize = 1024;
-
-/// Which batch-planner layout [`ServiceCore::draw_into`] uses. See the
-/// module docs for the derivation of each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteLayout {
-    /// v1: the caller's RNG is threaded through every level-one pick and
-    /// then through each shard's fill, in shard order — strictly
-    /// sequential by construction. Kept as the parity oracle.
-    V1Sequential,
-    /// v2 (default, [`ROUTE_LAYOUT_VERSION`]): one master draw, substream
-    /// 0 for assignment, substream `1 + s` per shard — per-shard fills
-    /// are order-free and run across the fan-out lanes.
-    #[default]
-    V2Parallel,
-}
 
 /// Tuning knobs for a [`ShardedService`].
 #[derive(Debug, Clone, PartialEq)]
@@ -111,21 +98,13 @@ pub struct ServiceConfig {
     /// only through [`ServiceCore::publish_all`] /
     /// [`ServiceCore::publish_shard`].
     pub publish_interval: Option<Duration>,
-    /// Which batch-planner layout draws use (default
-    /// [`RouteLayout::V2Parallel`]; see the module docs).
-    pub route_layout: RouteLayout,
-    /// Parallel fan-out lanes for the v2 planner, **including** the
+    /// Parallel fan-out lanes for the batch planner, **including** the
     /// submitting thread (`lanes - 1` helper threads are spawned once at
     /// construction). `0` = auto: `min(shards, thread budget)`, where the
     /// thread budget is the `LRB_THREADS` environment variable when set,
     /// else the core count. `1` forces inline (sequential) execution —
     /// results are bit-identical either way.
     pub fanout_workers: usize,
-    /// Core-pinning policy for the service's long-lived threads (shard
-    /// publishers, fan-out lanes and — through
-    /// [`ServiceCore::pinner`] — the server's reactors and workers).
-    /// Overridable with `LRB_PIN`; see [`crate::affinity`].
-    pub core_map: CoreMap,
 }
 
 impl Default for ServiceConfig {
@@ -134,9 +113,7 @@ impl Default for ServiceConfig {
             shards: 4,
             engine: EngineConfig::default(),
             publish_interval: None,
-            route_layout: RouteLayout::default(),
             fanout_workers: 0,
-            core_map: CoreMap::None,
         }
     }
 }
@@ -241,13 +218,8 @@ pub struct ServiceCore {
     offsets: Vec<usize>,
     totals: ShardTotals,
     telemetry: ServiceTelemetry,
-    /// Which batch-planner layout draws run through.
-    layout: RouteLayout,
-    /// Persistent lanes for the v2 planner's parallel per-shard fills.
+    /// Persistent lanes for the planner's parallel per-shard fills.
     fanout: FanoutPool,
-    /// The service's core-pinning policy, shared with every long-lived
-    /// thread the service (or the server on top of it) spawns.
-    pinner: Arc<Pinner>,
 }
 
 impl ServiceCore {
@@ -290,17 +262,13 @@ impl ServiceCore {
         offsets.push(n);
         let telemetry = ServiceTelemetry::new();
         telemetry.set_imbalance(&initial);
-        let pinner = Arc::new(Pinner::from_config(&config.core_map));
-        let lanes = config.resolved_fanout(shard_count);
-        let fanout = FanoutPool::start(lanes, Arc::clone(&pinner));
+        let fanout = FanoutPool::start(config.resolved_fanout(shard_count));
         Ok(Self {
             shards,
             offsets,
             totals: ShardTotals::from_totals(&initial),
             telemetry,
-            layout: config.route_layout,
             fanout,
-            pinner,
         })
     }
 
@@ -325,23 +293,10 @@ impl ServiceCore {
         &self.telemetry
     }
 
-    /// The batch-planner layout this service draws through.
-    pub fn route_layout(&self) -> RouteLayout {
-        self.layout
-    }
-
-    /// Fan-out lanes available to the v2 planner (including the
+    /// Fan-out lanes available to the batch planner (including the
     /// submitting thread).
     pub fn fanout_lanes(&self) -> usize {
         self.fanout.lanes()
-    }
-
-    /// The service's core-pinning policy. Long-lived threads built on top
-    /// of the core (the server's reactors and workers) call
-    /// [`Pinner::pin_current`] on it at startup; so do the service's own
-    /// publisher and fan-out threads.
-    pub fn pinner(&self) -> &Arc<Pinner> {
-        &self.pinner
     }
 
     /// The shard owning global category `index`, as `(shard, local)`.
@@ -418,10 +373,9 @@ impl ServiceCore {
     /// [`Snapshot::sample_into`](lrb_engine::Snapshot::sample_into) — the
     /// engine's fused batch path — so a batch costs one snapshot
     /// acquisition and one streamed fill per touched shard instead of a
-    /// draw-by-draw walk. Under the default
-    /// [`RouteLayout::V2Parallel`] the per-shard fills run across the
-    /// fan-out lanes and the result is bit-identical at any lane count
-    /// (see the module docs).
+    /// draw-by-draw walk. The per-shard fills run across the fan-out
+    /// lanes and the result is bit-identical at any lane count (see the
+    /// module docs).
     ///
     /// Scratch comes from a warm per-thread [`DrawPlan`], so the
     /// steady-state path allocates nothing; callers that manage their own
@@ -464,24 +418,12 @@ impl ServiceCore {
         result
     }
 
-    fn try_draw_into(
-        &self,
-        rng: &mut dyn RandomSource,
-        out: &mut [usize],
-        plan: &mut DrawPlan,
-    ) -> Result<(), SelectionError> {
-        match self.layout {
-            RouteLayout::V1Sequential => self.try_draw_into_v1(rng, out, plan),
-            RouteLayout::V2Parallel => self.try_draw_into_v2(rng, out, plan),
-        }
-    }
-
-    /// Phase one of both layouts: refresh the plan's cut from the live
-    /// cells, assign every slot a shard with `pick(u)` over per-slot
-    /// uniforms, count per-shard draws, turn the counts into ascending
-    /// `(start, len)` segments of the fill buffer and seed the scatter
-    /// cursors with the segment starts. Also records per-shard routing
-    /// telemetry (deterministically, in shard order).
+    /// Phase one: refresh the plan's cut from the live cells, assign every
+    /// slot a shard with `pick(u)` over per-slot uniforms, count per-shard
+    /// draws, turn the counts into ascending `(start, len)` segments of the
+    /// fill buffer and seed the scatter cursors with the segment starts.
+    /// Also records per-shard routing telemetry (deterministically, in
+    /// shard order).
     fn plan_assignments(
         &self,
         plan: &mut DrawPlan,
@@ -519,8 +461,8 @@ impl ServiceCore {
         Ok(())
     }
 
-    /// Phase three of both layouts: one pass over the assignment, writing
-    /// each slot from its shard's segment through that shard's cursor —
+    /// Phase three: one pass over the assignment, writing each slot from
+    /// its shard's segment through that shard's cursor —
     /// `O(batch + shards)` total, replacing the old per-shard rescan of
     /// the whole assignment (`O(shards · batch)`).
     fn scatter_fill(&self, plan: &mut DrawPlan, out: &mut [usize]) {
@@ -532,34 +474,12 @@ impl ServiceCore {
         }
     }
 
-    /// The v1 (sequential oracle) layout: the caller's RNG is threaded
-    /// through every level-one pick, then through each touched shard's
-    /// fill in shard order — draw-for-draw identical to the service's
-    /// historical batch path.
-    fn try_draw_into_v1(
-        &self,
-        rng: &mut dyn RandomSource,
-        out: &mut [usize],
-        plan: &mut DrawPlan,
-    ) -> Result<(), SelectionError> {
-        self.plan_assignments(plan, out.len(), || rng.next_f64())?;
-        for (k, &(start, len)) in plan.segments.iter().enumerate() {
-            let shard = plan.segment_shards[k];
-            self.shards[shard]
-                .engine
-                .read(|snapshot| snapshot.sample_into(rng, &mut plan.fill[start..start + len]))?;
-        }
-        self.scatter_fill(plan, out);
-        Ok(())
-    }
-
-    /// The v2 (parallel) layout: exactly one `rng.next_u64()` master
-    /// draw; assignment uniforms from Philox substream
-    /// [`ASSIGN_SUBSTREAM`], shard `s`'s fill from substream
-    /// `SHARD_SUBSTREAM_BASE + s`. Per-shard fills are pure functions of
+    /// One planner pass: exactly one `rng.next_u64()` master draw;
+    /// assignment uniforms from Philox substream [`ASSIGN_SUBSTREAM`],
+    /// shard `s`'s fill from substream `SHARD_SUBSTREAM_BASE + s`. Per-shard fills are pure functions of
     /// `(snapshot, master)`, so they run across the fan-out lanes in any
     /// order — or inline for small batches — with bit-identical results.
-    fn try_draw_into_v2(
+    fn try_draw_into(
         &self,
         rng: &mut dyn RandomSource,
         out: &mut [usize],
@@ -741,7 +661,7 @@ impl ServiceCore {
             )
             .counter(
                 "lrb_service_planner_batches_total",
-                "Batches routed through the v2 parallel draw planner",
+                "Batches routed through the batch draw planner",
                 t.planner_batches(),
             )
             .counter(
@@ -773,11 +693,6 @@ impl ServiceCore {
                 "lrb_service_fanout_lanes",
                 "Parallel fan-out lanes serving the batch planner",
                 self.fanout.lanes() as f64,
-            )
-            .gauge(
-                "lrb_service_pinned_threads",
-                "Service threads successfully pinned to cores",
-                self.pinner.pinned_threads() as f64,
             )
             .gauge(
                 "lrb_service_shard_imbalance",
@@ -856,7 +771,6 @@ impl ShardedService {
                 let core = Arc::clone(&core);
                 let stop = Arc::clone(&stop);
                 publishers.push(std::thread::spawn(move || {
-                    core.pinner().pin_current();
                     while !stop.load(Ordering::Acquire) {
                         std::thread::sleep(interval);
                         // A failed publish restored the batch (the engine's

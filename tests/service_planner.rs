@@ -1,17 +1,15 @@
-//! Cross-shard batch-planner contract tests: the v2 parallel layout must
-//! be a pure function of `(snapshots, master draw)` — bit-identical at
-//! any fan-out lane count and any `LRB_THREADS` budget — the v1
-//! sequential layout must stay draw-for-draw identical to a hand-rolled
-//! reference of the service's historical batch path, the two-level law
-//! must survive the parallel path statistically, and core-pinning must
-//! degrade to a graceful no-op when the policy names cores the host does
-//! not have.
+//! Cross-shard batch-planner contract tests: the v2 layout must be a pure
+//! function of `(snapshots, master draw)` — bit-identical at any fan-out
+//! lane count and any `LRB_THREADS` budget, and pinned to a golden vector
+//! — the two-level law must survive the parallel path statistically, and
+//! `lrb-bench`'s `SequentialOracle` (the v1 sequential layout that the
+//! `service_batch_speedup` gate times the planner against) must stay
+//! draw-for-draw identical to a hand-rolled reference of that layout.
 
+use lrb_bench::service_workload::SequentialOracle;
 use lrb_core::sharding::TotalsCut;
 use lrb_rng::{Philox4x32, RandomSource, SeedableSource};
-use lrb_service::{
-    parse_cpu_list, CoreMap, RouteLayout, ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION,
-};
+use lrb_service::{ServiceConfig, ShardedService, ROUTE_LAYOUT_VERSION};
 use lrb_stats::chi_square_gof;
 use proptest::prelude::*;
 
@@ -29,17 +27,11 @@ fn test_weights(categories: usize) -> Vec<f64> {
         .collect()
 }
 
-fn service(
-    categories: usize,
-    shards: usize,
-    layout: RouteLayout,
-    fanout_workers: usize,
-) -> ShardedService {
+fn service(categories: usize, shards: usize, fanout_workers: usize) -> ShardedService {
     ShardedService::new(
         test_weights(categories),
         ServiceConfig {
             shards,
-            route_layout: layout,
             fanout_workers,
             ..ServiceConfig::default()
         },
@@ -50,10 +42,33 @@ fn service(
 #[test]
 fn route_layout_is_versioned_and_defaults_to_parallel() {
     assert_eq!(ROUTE_LAYOUT_VERSION, 2);
-    assert_eq!(RouteLayout::default(), RouteLayout::V2Parallel);
-    let service = service(64, 4, RouteLayout::default(), 0);
-    assert_eq!(service.route_layout(), RouteLayout::V2Parallel);
+    // An explicit lane count: the auto budget reads `LRB_THREADS`, which
+    // `v2_output_is_invariant_in_the_lrb_threads_budget` mutates.
+    let service = service(64, 4, 2);
     assert!(service.fanout_lanes() >= 1);
+}
+
+/// The first 32 indices of a 2 048-draw batch over `service(384, 6, _)`
+/// from `Philox4x32::seed_from_u64(0x0601_DE11)` under layout v2. Any
+/// change here is a `ROUTE_LAYOUT_VERSION` bump, not a refactor.
+const V2_GOLDEN: [usize; 32] = [
+    340, 276, 250, 186, 255, 337, 109, 150, 15, 164, 85, 303, 42, 251, 349, 274, 277, 260, 196,
+    138, 280, 114, 335, 212, 110, 227, 138, 11, 315, 302, 137, 365,
+];
+
+#[test]
+fn v2_output_matches_the_golden_vector_at_every_lane_count() {
+    // 2 048 draws clear the inline threshold, so lanes = 2 takes the
+    // pooled fan-out path and lanes = 1 the inline one.
+    for lanes in [1usize, 2] {
+        let service = service(384, 6, lanes);
+        let mut rng = Philox4x32::seed_from_u64(0x0601_DE11);
+        let mut out = vec![0usize; 2_048];
+        service
+            .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
+            .expect("golden batch draw failed");
+        assert_eq!(out[..32], V2_GOLDEN, "lanes {lanes}");
+    }
 }
 
 proptest! {
@@ -69,7 +84,7 @@ proptest! {
         for batch in [small_batch, 2_048] {
             let mut reference: Option<Vec<usize>> = None;
             for lanes in [1usize, 2, 8] {
-                let service = service(384, 6, RouteLayout::V2Parallel, lanes);
+                let service = service(384, 6, lanes);
                 let mut rng = Philox4x32::seed_from_u64(seed);
                 let mut out = vec![0usize; batch];
                 service
@@ -89,11 +104,11 @@ proptest! {
         }
     }
 
-    /// The v1 oracle must be draw-for-draw identical to the service's
-    /// historical batch path, reconstructed here from public pieces: the
-    /// caller's RNG threads through one level-one pick per slot, then
-    /// through each touched shard's fused fill in shard order, and the
-    /// grouped fills scatter back to slot order.
+    /// The bench's v1 oracle must be draw-for-draw identical to the
+    /// service's historical batch path, reconstructed here from public
+    /// pieces: the caller's RNG threads through one level-one pick per
+    /// slot, then through each touched shard's fused fill in shard order,
+    /// and the grouped fills scatter back to slot order.
     #[test]
     fn prop_v1_matches_the_handrolled_sequential_reference(
         seed: u64,
@@ -101,7 +116,7 @@ proptest! {
     ) {
         let categories = 300;
         let shards = 5;
-        let service = service(categories, shards, RouteLayout::V1Sequential, 1);
+        let service = service(categories, shards, 1);
 
         let mut expected = vec![0usize; batch];
         {
@@ -148,9 +163,9 @@ proptest! {
 
         let mut rng = Philox4x32::seed_from_u64(seed);
         let mut out = vec![0usize; batch];
-        service
-            .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-            .expect("v1 batch draw failed");
+        SequentialOracle::new(&service)
+            .draw_into(&mut rng, &mut out)
+            .expect("oracle batch draw failed");
         prop_assert_eq!(out, expected);
     }
 }
@@ -165,7 +180,7 @@ fn v2_output_is_invariant_in_the_lrb_threads_budget() {
     let mut reference: Option<Vec<usize>> = None;
     for budget in ["1", "2", "8"] {
         std::env::set_var("LRB_THREADS", budget);
-        let service = service(512, 8, RouteLayout::V2Parallel, 0);
+        let service = service(512, 8, 0);
         let mut rng = Philox4x32::seed_from_u64(0xBEEF);
         let mut out = vec![0usize; 4_096];
         service
@@ -198,7 +213,6 @@ fn two_level_law_survives_the_parallel_path() {
             weights.clone(),
             ServiceConfig {
                 shards: 6,
-                route_layout: RouteLayout::V2Parallel,
                 fanout_workers: 4,
                 ..ServiceConfig::default()
             },
@@ -221,43 +235,4 @@ fn two_level_law_survives_the_parallel_path() {
         consistent(0x2E11) || consistent(0x2E12),
         "two-level law failed chi-square through the parallel planner twice"
     );
-}
-
-#[test]
-fn pinning_to_impossible_cores_is_a_graceful_no_op() {
-    // A policy naming a core the host does not have must not break
-    // anything: draws keep working, nothing reports as pinned.
-    let service = ShardedService::new(
-        test_weights(96),
-        ServiceConfig {
-            shards: 4,
-            core_map: CoreMap::Explicit(vec![100_000]),
-            fanout_workers: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("service with an impossible core map must still construct");
-    let mut rng = Philox4x32::seed_from_u64(0xC0DE);
-    let mut out = vec![0usize; 2_048];
-    service
-        .draw_into(&mut rng as &mut dyn RandomSource, &mut out)
-        .expect("draws must survive a failed pin");
-    assert!(service.pinner().is_active());
-    assert_eq!(
-        service.pinner().pinned_threads(),
-        0,
-        "a core the host does not have cannot be pinned"
-    );
-}
-
-#[test]
-fn cpu_list_parsing_round_trips_the_policy_surface() {
-    assert_eq!(parse_cpu_list("0-2,5"), Some(vec![0, 1, 2, 5]));
-    assert_eq!(parse_cpu_list(" 3 "), Some(vec![3]));
-    assert_eq!(parse_cpu_list("2-2,2"), Some(vec![2]));
-    assert_eq!(parse_cpu_list("banana"), None);
-    assert_eq!(parse_cpu_list("3-1"), None);
-    // The empty list is a valid (empty) policy — sysfs emits it for a
-    // node with no CPUs.
-    assert_eq!(parse_cpu_list(""), Some(Vec::new()));
 }
