@@ -113,7 +113,6 @@ fn arm_config(durability: Durability) -> EngineConfig {
     EngineConfig {
         backend: BackendChoice::Fixed("fenwick"),
         patch: PatchPolicy::Never,
-        calibrate: false,
         durability,
         ..EngineConfig::default()
     }

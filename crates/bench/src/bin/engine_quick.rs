@@ -17,19 +17,20 @@
 //!    `--min-speedup` — but only on hosts that actually have `--readers`
 //!    hardware threads; on smaller hosts the gate is advisory (printed, not
 //!    enforced), because the scaling being measured is physical parallelism.
-//! 2. **Adaptive decider** — a calibrated engine runs the skew-shifting
+//! 2. **Adaptive decider** — an `Auto` engine runs the skew-shifting
 //!    workload (draw-heavy uniform → write-heavy spike → recovery): the
-//!    telemetry-driven decider must log at least one backend switch, and
-//!    every phase's served draws must stay chi-square-consistent
-//!    (p > 0.01) with the exact probabilities — conformance maintained
-//!    across the switches. This gate is statistical but seed-deterministic
-//!    per backend choice, and is enforced everywhere.
+//!    publish-time decider, fed by the served-draws EWMA, must log at
+//!    least one backend switch, and every phase's served draws must stay
+//!    chi-square-consistent (p > 0.01) with the exact probabilities —
+//!    conformance maintained across the switches. The decider is
+//!    closed-form, so the switch history and every p-value are a
+//!    deterministic function of the seed; the gate is enforced everywhere.
 //!
 //! The `--json 1` report (recorded as the `BENCH_engine.json` baseline)
-//! includes the calibrated per-op cost constants, the full backend-switch
-//! history of the adaptive run, and — via the engine's observability
-//! layer — the publish-span and sampled reader-draw latency distributions
-//! (p50/p99/p999) of every driver run, plus a [`GateMargin`] per gate
+//! includes the full backend-switch history of the adaptive run, and — via
+//! the engine's observability layer — the publish-span and sampled
+//! reader-draw latency distributions (p50/p99/p999) of every driver run,
+//! plus a [`GateMargin`] per gate
 //! (scaling, switch count, per-phase chi-square p against the 1% level).
 //! An enforced scaling miss is re-measured once before the verdict
 //! counts. `--timing-every N` controls the 1-in-N reader-timing sample
@@ -129,7 +130,7 @@ fn main() {
         backends.push(report);
     }
 
-    println!("\nadaptive decider on a skew-shifting workload (calibrated):");
+    println!("\nadaptive decider on a skew-shifting workload:");
     let adaptive = run_skew_shift(&SkewShiftConfig {
         categories: n,
         trials,
@@ -144,23 +145,8 @@ fn main() {
     }
     for switch in &adaptive.switches {
         println!(
-            "  switch @v{:<4} {} -> {}{} ({} draws served)",
-            switch.version,
-            switch.from,
-            switch.to,
-            if switch.mid_stream {
-                " [mid-stream]"
-            } else {
-                ""
-            },
-            switch.draws_served
-        );
-    }
-    println!("  calibrated cost constants (ns per abstract op):");
-    for constants in &adaptive.cost_constants {
-        println!(
-            "    {:<22} build {:>8.3}   draw {:>8.3}",
-            constants.backend, constants.build_ns_per_op, constants.draw_ns_per_op
+            "  switch @v{:<4} {} -> {} ({} draws served)",
+            switch.version, switch.from, switch.to, switch.draws_served
         );
     }
 

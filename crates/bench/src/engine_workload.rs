@@ -49,9 +49,6 @@ pub struct DriverConfig {
     pub zipf_exponent: f64,
     /// Snapshot backend selection.
     pub backend: BackendChoice,
-    /// Run the engine's startup micro-calibration and per-publish cost
-    /// telemetry (host-measured constants instead of the unit model).
-    pub calibrate: bool,
     /// Sampled reader timing: each reader thread times one in this many
     /// snapshot acquisitions (`0` disables, the uninstrumented baseline;
     /// see `EngineConfig::reader_timing_every`).
@@ -72,7 +69,6 @@ impl Default for DriverConfig {
             duration_ms: 250,
             zipf_exponent: 0.0,
             backend: BackendChoice::Auto,
-            calibrate: false,
             reader_timing_every: 0,
             seed: 2024,
         }
@@ -175,7 +171,6 @@ pub fn run_driver(config: &DriverConfig) -> DriverReport {
             backend: config.backend,
             expected_draws_per_publish: (config.samples_per_update
                 * config.updates_per_publish.max(1)) as f64,
-            calibrate: config.calibrate,
             reader_timing_every: config.reader_timing_every,
             ..EngineConfig::default()
         },
@@ -305,9 +300,6 @@ pub struct SkewShiftConfig {
     pub spike_publishes: u64,
     /// Master seed for the per-phase conformance batches.
     pub seed: u64,
-    /// Whether the engine measures real per-op costs (host-calibrated
-    /// constants) or scores the closed-form model at unit cost.
-    pub calibrate: bool,
 }
 
 impl Default for SkewShiftConfig {
@@ -316,19 +308,16 @@ impl Default for SkewShiftConfig {
             categories: 4096,
             trials: 120_000,
             // Enough zero-draw publishes that the draws-per-publish EWMA
-            // (alpha 0.2, seeded at `trials` by the uniform phase) decays
-            // to where the arg-min is build-cost-dominated. The EWMA after
-            // k spike publishes is `trials · 0.8^(k-1)`; the switch off the
-            // alias table needs it below ~0.3 draws (where even stochastic
-            // acceptance's degenerate-skew draw term stops masking its
-            // build advantage over the three-pass alias build), first true
-            // near k = 62. Running to 80 leaves the EWMA ≈ 0.005, so the
-            // final publishes demand a switch with an ~2x margin on the
-            // measured constants — the gate must not hinge on knife-edge
-            // build-time ratios that drift with ambient CPU state.
+            // (alpha 0.2) decays to where the arg-min is build-cost
+            // dominated. The uniform phase serves `2 · trials` draws (two
+            // conformance seeds), so the EWMA after k spike publishes is
+            // `2 · trials · 0.8^(k-1)`; at n = 4096 the switch off the
+            // alias table onto the Fenwick tree lands at v27. The decider
+            // is closed-form, so that version is the same on every host;
+            // the remaining spike publishes leave the Fenwick tree serving
+            // the spike phase with a wide margin.
             spike_publishes: 80,
             seed: 2024,
-            calibrate: true,
         }
     }
 }
@@ -362,22 +351,6 @@ pub struct SwitchReport {
     pub to: String,
     /// Draws the outgoing snapshot had served.
     pub draws_served: u64,
-    /// Whether the decider moved mid-stream (no pending writes).
-    pub mid_stream: bool,
-}
-
-/// Calibrated cost constants of one backend (mirror of
-/// `lrb_engine::CostConstants`, serialisable).
-#[derive(Debug, Clone, Serialize)]
-pub struct CostConstantsReport {
-    /// Backend name.
-    pub backend: String,
-    /// EWMA nanoseconds per abstract build op.
-    pub build_ns_per_op: f64,
-    /// EWMA nanoseconds per abstract draw op.
-    pub draw_ns_per_op: f64,
-    /// EWMA nanoseconds per abstract incremental-patch op.
-    pub patch_ns_per_op: f64,
 }
 
 /// Outcome of [`run_skew_shift`].
@@ -387,8 +360,6 @@ pub struct SkewShiftReport {
     pub phases: Vec<PhaseReport>,
     /// Every backend switch the decider made, oldest first.
     pub switches: Vec<SwitchReport>,
-    /// The decider's cost constants at the end of the run.
-    pub cost_constants: Vec<CostConstantsReport>,
     /// The observed draws-per-publish EWMA at the end of the run.
     pub observed_draws_per_publish: f64,
 }
@@ -419,9 +390,8 @@ fn conformance_phase(engine: &SelectionEngine, phase: &str, trials: u64, seed: u
 
 /// Run the skew-shifting workload that the adaptive gate checks: a
 /// draw-heavy uniform phase, a write-heavy phase that spikes a handful of
-/// categories to degenerate skew while the observed draw rate decays, a
-/// mid-stream rebalance opportunity once draws resume, and a draw-heavy
-/// uniform recovery. The decider must switch backends at least once, and
+/// categories to degenerate skew while the observed draw rate decays, and a
+/// draw-heavy uniform recovery. The decider must switch backends at least once, and
 /// every phase's served draws must stay chi-square-consistent with the
 /// exact probabilities — conformance is maintained **across** the
 /// switches.
@@ -433,7 +403,6 @@ pub fn run_skew_shift(config: &SkewShiftConfig) -> SkewShiftReport {
         EngineConfig {
             backend: BackendChoice::Auto,
             expected_draws_per_publish: config.trials as f64,
-            calibrate: config.calibrate,
             ..EngineConfig::default()
         },
     )
@@ -478,13 +447,6 @@ pub fn run_skew_shift(config: &SkewShiftConfig) -> SkewShiftReport {
         config.seed + 1,
     ));
 
-    // Mid-stream opportunity: the spike phase's conformance draws all hit
-    // the current snapshot with no publish in sight — exactly the drift the
-    // sunk-cost decider exists for.
-    let _ = engine
-        .maybe_rebalance()
-        .expect("rebalance cannot fail here");
-
     // Phase 3 — recovery: restore uniform weights and serve draw-heavy
     // windows again; the observed rate climbs back and cheap draws win.
     let restore: Vec<(usize, f64)> = (0..n).map(|i| (i, 1.0)).collect();
@@ -507,17 +469,6 @@ pub fn run_skew_shift(config: &SkewShiftConfig) -> SkewShiftReport {
                 from: s.from.to_string(),
                 to: s.to.to_string(),
                 draws_served: s.draws_served,
-                mid_stream: s.mid_stream,
-            })
-            .collect(),
-        cost_constants: engine
-            .cost_constants()
-            .into_iter()
-            .map(|c| CostConstantsReport {
-                backend: c.backend.to_string(),
-                build_ns_per_op: c.build_ns_per_op,
-                draw_ns_per_op: c.draw_ns_per_op,
-                patch_ns_per_op: c.patch_ns_per_op,
             })
             .collect(),
         observed_draws_per_publish: engine.observed_draws_per_publish(),
@@ -564,14 +515,11 @@ mod tests {
 
     #[test]
     fn skew_shift_scenario_switches_backends_and_stays_conformant() {
-        // Unit-cost decider for determinism in tests; the engine_quick gate
-        // runs the same scenario calibrated.
         let report = run_skew_shift(&SkewShiftConfig {
             categories: 1024,
             trials: 30_000,
             spike_publishes: 25,
             seed: 7,
-            calibrate: false,
         });
         assert_eq!(report.phases.len(), 3);
         assert!(
@@ -586,12 +534,6 @@ mod tests {
                 phase.chi_square_p
             );
         }
-        assert_eq!(report.cost_constants.len(), 3);
-        // Unit costs: the constants stay at the 1 ns/op seed.
-        assert!(report
-            .cost_constants
-            .iter()
-            .all(|c| c.build_ns_per_op == 1.0 && c.draw_ns_per_op == 1.0));
     }
 
     #[test]

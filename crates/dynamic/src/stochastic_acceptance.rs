@@ -29,8 +29,10 @@ use lrb_rng::RandomSource;
 use crate::validate_weight;
 
 /// Expected-rounds threshold beyond which a draw goes straight to the
-/// linear-scan fallback instead of rejection sampling.
-const DEGENERATE_ROUNDS: f64 = 256.0;
+/// linear-scan fallback instead of rejection sampling. Exported so cost
+/// models (the engine's backend decider) price the fallback at the same
+/// threshold the sampler switches at.
+pub const DEGENERATE_ROUNDS: f64 = 256.0;
 
 /// An updatable weighted sampler using stochastic acceptance.
 ///

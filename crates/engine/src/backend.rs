@@ -21,27 +21,23 @@
 //! count. The *patch* column is [`FrozenBackend::try_patch`] — freezing the
 //! next snapshot from the previous one plus the coalesced batch instead of
 //! rebuilding (the `n`-proportional terms are straight `memcpy`s, priced
-//! fractionally against the rebuild's branchy passes). All abstract op
-//! counts are scaled into nanoseconds by the engine's calibrated
-//! [`CostEstimator`](crate::heuristic::CostEstimator), which learns
-//! build, patch and draw constants separately.
+//! fractionally against the rebuild's branchy passes). The decider in
+//! [`heuristic`](crate::heuristic) compares these op counts directly, at
+//! one unit per op, so its choices are the same on every host.
 
 use std::sync::Arc;
 
 use lrb_core::error::SelectionError;
 use lrb_core::sequential::{AliasSampler, AliasScratch};
 use lrb_core::traits::{FrozenSampler, PreparedSampler};
+use lrb_dynamic::stochastic_acceptance::DEGENERATE_ROUNDS;
 use lrb_dynamic::{FenwickSampler, StochasticAcceptanceSampler};
 use lrb_rng::RandomSource;
 
 use crate::heuristic::WorkloadProfile;
 
-/// Mirror of the stochastic-acceptance degenerate-skew threshold: past it a
-/// draw falls back to an `O(n)` linear scan, which the model must price in.
-pub const SA_DEGENERATE_ROUNDS: f64 = 256.0;
-
-/// Abstract cost of one publish window on a backend, in "weight ops" —
-/// scale-free units the calibration converts to nanoseconds per host.
+/// Abstract cost of one publish window on a backend, in scale-free
+/// "weight ops".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendCost {
     /// Ops to freeze a weight vector into the backend's sampler.
@@ -126,8 +122,7 @@ pub trait FrozenBackend: Send + Sync {
 
     /// Abstract op cost of patching `dirty` categories (with a whole-vector
     /// scale fold when `scaled`) instead of rebuilding; `None` when the
-    /// backend cannot patch. Scaled into nanoseconds by the engine's
-    /// calibrated patch constants, then compared against
+    /// backend cannot patch. Compared against
     /// [`model_cost`](FrozenBackend::model_cost)'s build price — the
     /// patch-versus-rebuild decision the engine makes per publish.
     fn model_patch_cost(
@@ -324,9 +319,9 @@ impl FrozenBackend for StochasticAcceptanceBackend {
 
     fn model_cost(&self, profile: &WorkloadProfile) -> BackendCost {
         let n = profile.categories.max(1) as f64;
-        // Each rejection round costs ~2 RNG calls; past the degenerate
-        // threshold the sampler linear-scans at O(n) per draw.
-        let per_draw_ops = if profile.skew > SA_DEGENERATE_ROUNDS {
+        // Each rejection round costs ~2 RNG calls; past the sampler's
+        // degenerate threshold it linear-scans at O(n) per draw.
+        let per_draw_ops = if profile.skew > DEGENERATE_ROUNDS {
             n
         } else {
             2.0 * profile.skew.max(1.0)
@@ -367,10 +362,9 @@ impl FrozenBackend for StochasticAcceptanceBackend {
 
 /// An ordered, name-keyed collection of [`FrozenBackend`] trait objects.
 ///
-/// The order matters twice: cost-model ties break toward earlier entries
-/// (the standard registry lists the Fenwick tree first — the most
-/// predictable engine), and telemetry/calibration vectors are indexed in
-/// registry order.
+/// The order matters: cost-model ties break toward earlier entries (the
+/// standard registry lists the Fenwick tree first — the most predictable
+/// engine).
 #[derive(Clone)]
 pub struct BackendRegistry {
     entries: Vec<Arc<dyn FrozenBackend>>,

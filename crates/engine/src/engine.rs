@@ -1,5 +1,5 @@
 //! The concurrent selection engine: coalescing writers, atomically swapped
-//! immutable snapshots, lock-free-in-spirit readers, and a telemetry-driven
+//! immutable snapshots, lock-free-in-spirit readers, and a closed-form
 //! backend decider.
 //!
 //! ## Concurrency protocol
@@ -27,8 +27,8 @@
 //!   backend is the incumbent, the freeze may take the backend's
 //!   **incremental patch path** — the previous sampler plus the coalesced
 //!   batch, `O(d · log n)`-ish instead of `O(n)` for small batches — under
-//!   [`PatchPolicy`]; the cost model compares learned patch and rebuild
-//!   constants per publish. Publishers serialise on a dedicated publish
+//!   [`PatchPolicy`]; the cost model compares the patch and rebuild prices
+//!   per publish. Publishers serialise on a dedicated publish
 //!   mutex — the batch mutex is held only for the drain itself — so
 //!   versions are strictly ordered and no batch is ever lost, while
 //!   `enqueue`/`enqueue_many`/`scale_all` never wait on a backend build:
@@ -36,17 +36,12 @@
 //!
 //! ## The decider
 //!
-//! Under [`BackendChoice::Auto`] every publish re-runs the cost model with
-//! **observed** inputs: the draws-per-publish hint is an EWMA of how many
-//! draws each outgoing snapshot actually served (seeded from the config
-//! hint), and — when [`EngineConfig::calibrate`] is set — the per-op cost
-//! constants are seeded by a one-shot startup micro-benchmark and refreshed
-//! by an EWMA of measured build and probe-draw times at each publish.
-//! Between publishes, [`maybe_rebalance`](SelectionEngine::maybe_rebalance)
-//! answers the mid-stream question with the incumbent's build cost treated
-//! as sunk, republishing the same weights under a cheaper backend when the
-//! observed workload has drifted far enough to amortise the switch. Every
-//! change of backend is recorded in the [switch
+//! Under [`BackendChoice::Auto`] every publish re-runs the closed-form cost
+//! model ([`cheapest_for_publish`]) against the folded weights and one
+//! **observed** input: the draws-per-publish hint, an EWMA of how many
+//! draws each outgoing snapshot actually served (seeded from
+//! [`EngineConfig::expected_draws_per_publish`]). Backends change only at
+//! publishes, and every change is recorded in the [switch
 //! history](SelectionEngine::switch_history).
 
 use std::cell::RefCell;
@@ -57,19 +52,17 @@ use std::time::Instant;
 use lrb_core::error::SelectionError;
 use lrb_core::fitness::Fitness;
 use lrb_durable::{Durability, DurableStore};
-use lrb_rng::{Philox4x32, RandomSource};
+use lrb_rng::RandomSource;
 
 use crate::backend::{BackendRegistry, BuildScratch};
-use crate::heuristic::{BackendChoice, CostConstants, CostEstimator, Ewma, WorkloadProfile};
+use crate::heuristic::{
+    cheapest_for_publish, patch_beats_rebuild, BackendChoice, Ewma, WorkloadProfile,
+};
 use crate::hot_swap::HotSwap;
 use crate::queue::CoalescingQueue;
 use crate::snapshot::Snapshot;
 use crate::telemetry::{EngineEvent, EngineTelemetry};
 use lrb_obs::MetricsSnapshot;
-
-/// Draws timed against each freshly built snapshot to refresh the draw-cost
-/// EWMA (only under [`EngineConfig::calibrate`]).
-const PUBLISH_PROBE_DRAWS: usize = 64;
 
 /// Engines a single thread's snapshot cache will track before evicting the
 /// least-recently-inserted entry. Processes normally hold a handful of
@@ -123,12 +116,6 @@ pub struct EngineConfig {
     /// draws-per-publish EWMA; observed serving rates take over from the
     /// first publish on.
     pub expected_draws_per_publish: f64,
-    /// Measure real costs: run the one-shot startup micro-calibration and
-    /// keep refreshing the per-op constants from build/probe-draw timings at
-    /// each publish. Off by default so backend choices stay a deterministic
-    /// function of the workload (tests, reproducible runs); serving
-    /// deployments should switch it on.
-    pub calibrate: bool,
     /// Whether publishes may take the incremental patch path.
     pub patch: PatchPolicy,
     /// Sampled reader-draw timing: when non-zero, one in this many reader
@@ -156,7 +143,6 @@ impl Default for EngineConfig {
         Self {
             backend: BackendChoice::Auto,
             expected_draws_per_publish: 1024.0,
-            calibrate: false,
             patch: PatchPolicy::default(),
             reader_timing_every: 0,
             durability: Durability::Off,
@@ -179,8 +165,7 @@ pub struct EngineStats {
     pub enqueued: u64,
     /// Overrides that were overwritten before ever being published.
     pub coalesced: u64,
-    /// Publishes (or rebalances) whose backend differed from the previous
-    /// snapshot's.
+    /// Publishes whose backend differed from the previous snapshot's.
     pub backend_switches: u64,
     /// Publishes that froze their snapshot through the incremental patch
     /// path instead of a full rebuild.
@@ -201,15 +186,11 @@ pub struct BackendSwitch {
     /// Draws the outgoing snapshot had served — the observation that drove
     /// the decision.
     pub draws_served: u64,
-    /// Whether the switch came from [`SelectionEngine::maybe_rebalance`]
-    /// (workload drift between publishes) rather than a regular publish.
-    pub mid_stream: bool,
 }
 
 /// Mutable decider state, locked only on the (already serialised) publish
 /// path and by telemetry getters.
 struct DeciderState {
-    costs: CostEstimator,
     draws_per_publish: Ewma,
     switches: Vec<BackendSwitch>,
 }
@@ -251,9 +232,9 @@ pub struct SelectionEngine {
     /// critical sections — **never** across a backend build — so writers
     /// stay responsive while a publish freezes.
     pending: Mutex<CoalescingQueue>,
-    /// Serialises publishers (`publish` and `maybe_rebalance`), so
-    /// `current` only ever moves forward one batch at a time and versions
-    /// are strictly ordered, without making writers wait on a build.
+    /// Serialises publishers, so `current` only ever moves forward one
+    /// batch at a time and versions are strictly ordered, without making
+    /// writers wait on a build.
     publish_lock: Mutex<()>,
     /// Pooled transient build buffers for the publish path (locked only by
     /// the already-serialised publishers).
@@ -371,24 +352,14 @@ impl SelectionEngine {
                 Some(Mutex::new(store))
             }
         };
-        let costs = if config.calibrate {
-            let costs = CostEstimator::calibrate(&registry, len);
-            for constants in costs.constants() {
-                obs.record(EngineEvent::Calibrated { constants });
-            }
-            costs
-        } else {
-            CostEstimator::unit(&registry)
-        };
         let decider = DeciderState {
-            costs,
             draws_per_publish: Ewma::new(DRAWS_EWMA_ALPHA),
             switches: Vec::new(),
         };
         let profile = WorkloadProfile::measure(&weights, config.expected_draws_per_publish);
         let entry = match config.backend {
             BackendChoice::Fixed(name) => registry.index_of(name).expect("validated above"),
-            BackendChoice::Auto => decider.costs.cheapest(&registry, &profile),
+            BackendChoice::Auto => cheapest_for_publish(&registry, &profile, None, 0, false).0,
         };
         let mut snapshot = Snapshot::build(initial_version, weights, &registry.entries()[entry])?;
         if config.reader_timing_every > 0 {
@@ -657,7 +628,7 @@ impl SelectionEngine {
         for &(index, weight) in &overrides {
             weights[index] = weight;
         }
-        let result = self.install(&previous, weights, &overrides, scale, None, &mut scratch);
+        let result = self.install(&previous, weights, &overrides, scale, &mut scratch);
         let version = match result {
             Ok(version) => version,
             Err(error) => {
@@ -674,150 +645,50 @@ impl SelectionEngine {
         Ok(version)
     }
 
-    /// The decider's mid-stream move: with nothing pending, re-score the
-    /// *current* weights against the observed draw rate, treating the
-    /// incumbent backend's build cost as sunk. When a challenger would be
-    /// cheaper even after paying its build within one expected window, the
-    /// same weights are republished under it (a version bump with unchanged
-    /// distribution) and the switch is recorded. Returns the new version,
-    /// or `None` when staying put is cheapest, pending writes exist (the
-    /// next publish re-decides anyway), or the backend choice is pinned.
-    pub fn maybe_rebalance(&self) -> Result<Option<u64>, SelectionError> {
-        if !matches!(self.config.backend, BackendChoice::Auto) {
-            return Ok(None);
-        }
-        let started = Instant::now();
-        // Serialise with publishers exactly like publish() does; the batch
-        // lock is taken only for the emptiness probe. A write that lands
-        // after the probe is not lost — the rebalance republishes the
-        // *current* weights, and the write folds into the next publish.
-        let _publisher = self.publish_lock.lock().expect("publish lock poisoned");
-        {
-            let pending = self.pending.lock().expect("batch lock poisoned");
-            if !pending.is_empty() {
-                return Ok(None);
-            }
-        }
-        let previous = self.current.load();
-        let incumbent = self
-            .registry
-            .index_of(previous.backend())
-            .expect("current snapshot was built from this registry");
-        let challenger = {
-            let decider = self.decider.lock().expect("decider lock poisoned");
-            let draws_hint = Self::mid_stream_draw_hint(&decider, &self.config, &previous);
-            let profile = WorkloadProfile::measure(previous.weights(), draws_hint);
-            decider
-                .costs
-                .cheapest_given_incumbent(&self.registry, &profile, incumbent)
-        };
-        if challenger == incumbent {
-            return Ok(None);
-        }
-        let mut scratch = self.scratch.lock().expect("scratch lock poisoned");
-        let version = self.install(
-            &previous,
-            previous.weights().to_vec(),
-            &[],
-            1.0,
-            Some(challenger),
-            &mut scratch,
-        )?;
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.obs.record_publish_span(started);
-        Ok(Some(version))
-    }
-
-    /// The mid-stream draw-rate estimate: the published-window EWMA or the
-    /// current snapshot's already-served count, whichever is larger — a
-    /// snapshot that has served N draws with no publish in sight should
-    /// expect at least N more, which is exactly the drift signal that makes
-    /// an unamortised build worth paying.
-    fn mid_stream_draw_hint(
-        decider: &DeciderState,
-        config: &EngineConfig,
-        previous: &Snapshot,
-    ) -> f64 {
-        decider
-            .draws_per_publish
-            .get(config.expected_draws_per_publish)
-            .max(previous.served() as f64)
-    }
-
-    /// Shared tail of [`publish`] and [`maybe_rebalance`]: observe the
-    /// outgoing snapshot, choose a backend *and freeze path* (unless
-    /// `rebalance_to` carries the already-decided mid-stream target) — the
+    /// The tail of [`publish`](SelectionEngine::publish): observe the
+    /// outgoing snapshot, choose a backend *and freeze path* — the
     /// incumbent may freeze by **patching** the previous sampler with the
     /// coalesced batch (`overrides` after a `scale` fold) when the policy
-    /// and the learned patch-versus-rebuild constants favour it — build or
-    /// patch (timed), record any switch, swap the new snapshot in.
-    ///
-    /// [`publish`]: SelectionEngine::publish
-    /// [`maybe_rebalance`]: SelectionEngine::maybe_rebalance
+    /// and the patch-versus-rebuild price favour it — build or patch
+    /// (timed), record any switch, swap the new snapshot in.
     fn install(
         &self,
         previous: &Arc<Snapshot>,
         weights: Vec<f64>,
         overrides: &[(usize, f64)],
         scale: f64,
-        rebalance_to: Option<usize>,
         scratch: &mut BuildScratch,
     ) -> Result<u64, SelectionError> {
-        let mid_stream = rebalance_to.is_some();
         let mut decider = self.decider.lock().expect("decider lock poisoned");
         let draws_served = previous.served();
-        // A rebalance happens mid-window; folding its partial draw count
-        // into the EWMA would bias the rate estimate downward.
-        let draws_hint = if mid_stream {
-            Self::mid_stream_draw_hint(&decider, &self.config, previous)
-        } else {
-            decider.draws_per_publish.observe(draws_served as f64);
-            decider
-                .draws_per_publish
-                .get(self.config.expected_draws_per_publish)
-        };
+        decider.draws_per_publish.observe(draws_served as f64);
+        let draws_hint = decider
+            .draws_per_publish
+            .get(self.config.expected_draws_per_publish);
         let profile = WorkloadProfile::measure(&weights, draws_hint);
         let incumbent = self.registry.index_of(previous.backend());
+        let dirty = overrides.len();
         let scaled = scale != 1.0;
-        let (entry, model_patches) = match (rebalance_to, self.config.backend) {
-            // maybe_rebalance already decided under the same pending lock;
-            // a rebalance republishes under a *different* backend, which
-            // can never patch.
-            (Some(challenger), _) => (challenger, false),
-            (None, BackendChoice::Fixed(name)) => {
+        let (entry, model_patches) = match self.config.backend {
+            BackendChoice::Fixed(name) => {
                 let entry = self
                     .registry
                     .index_of(name)
                     .expect("validated at construction");
                 let patches = incumbent == Some(entry)
-                    && self.registry.entries()[entry]
-                        .model_patch_cost(&profile, overrides.len(), scaled)
-                        .map(|patch_ops| {
-                            let cost = self.registry.entries()[entry].model_cost(&profile);
-                            decider.costs.patch_ns(entry, patch_ops)
-                                < decider.costs.build_ns(entry, cost.build_ops)
-                        })
-                        .unwrap_or(false);
+                    && patch_beats_rebuild(&self.registry, &profile, entry, dirty, scaled);
                 (entry, patches)
             }
             // Under `PatchPolicy::Never` the incumbent may not take the
             // patch path, so pricing it with the patch discount would let
             // it win publishes on a freeze it is forbidden to perform.
-            (None, BackendChoice::Auto) if self.config.patch == PatchPolicy::Never => {
-                (decider.costs.cheapest(&self.registry, &profile), false)
+            BackendChoice::Auto => {
+                let patchable = incumbent.filter(|_| self.config.patch != PatchPolicy::Never);
+                cheapest_for_publish(&self.registry, &profile, patchable, dirty, scaled)
             }
-            (None, BackendChoice::Auto) => decider.costs.cheapest_for_publish(
-                &self.registry,
-                &profile,
-                incumbent,
-                overrides.len(),
-                scaled,
-            ),
         };
         let backend = &self.registry.entries()[entry];
-        let cost = backend.model_cost(&profile);
-        let try_patching = !mid_stream
-            && incumbent == Some(entry)
+        let try_patching = incumbent == Some(entry)
             && match self.config.patch {
                 PatchPolicy::Never => false,
                 PatchPolicy::Always => true,
@@ -833,33 +704,10 @@ impl SelectionEngine {
         } else {
             (backend.build_pooled(&weights, scratch)?, false)
         };
-        let freeze_ns = started.elapsed().as_nanos() as f64;
-        self.obs.record_freeze_ns(freeze_ns as u64);
+        let freeze_ns = started.elapsed().as_nanos() as u64;
+        self.obs.record_freeze_ns(freeze_ns);
         if patched {
             self.patched_total.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.config.calibrate {
-            if patched {
-                if let Some(patch_ops) = backend.model_patch_cost(&profile, overrides.len(), scaled)
-                {
-                    decider.costs.observe_patch(entry, patch_ops, freeze_ns);
-                }
-            } else {
-                decider.costs.observe_build(entry, &cost, freeze_ns);
-            }
-            // Time a short draw burst against the fresh sampler (skipped for
-            // zero-mass snapshots, whose draws only error).
-            let mut probe = [0usize; PUBLISH_PROBE_DRAWS];
-            let mut rng = Philox4x32::for_substream(previous.version() + 1, entry as u64);
-            let started = Instant::now();
-            if sampler.sample_into(&mut rng, &mut probe).is_ok() {
-                decider.costs.observe_draws(
-                    entry,
-                    &cost,
-                    PUBLISH_PROBE_DRAWS as f64,
-                    started.elapsed().as_nanos() as f64,
-                );
-            }
         }
         let version = previous.version() + 1;
         // Durability hook: log the drained batch *before* the swap makes
@@ -907,8 +755,8 @@ impl SelectionEngine {
             version,
             backend: snapshot.backend(),
             patched,
-            freeze_ns: freeze_ns as u64,
-            dirty: overrides.len() as u64,
+            freeze_ns,
+            dirty: dirty as u64,
             scaled,
             draws_served,
         });
@@ -918,7 +766,6 @@ impl SelectionEngine {
                 from: previous.backend(),
                 to: snapshot.backend(),
                 draws_served,
-                mid_stream,
             });
             self.switches_total.fetch_add(1, Ordering::Relaxed);
             self.obs.record(EngineEvent::BackendSwitch {
@@ -928,7 +775,6 @@ impl SelectionEngine {
                 draws_hint,
                 skew: profile.skew,
                 categories: profile.categories as u64,
-                mid_stream,
             });
         }
         drop(decider);
@@ -941,7 +787,7 @@ impl SelectionEngine {
     /// The read holds the publish lock *and* the batch lock (in that order,
     /// matching `publish()`). Writer counters mutate only under the batch
     /// lock — enqueues bump their totals before releasing it — and publish
-    /// counters only under the publish lock — publishes and rebalances bump
+    /// counters only under the publish lock — publishes bump
     /// `publishes`/`patched`/`backend_switches` and swap the snapshot with
     /// it still held. The returned struct therefore describes a single
     /// instant between batch operations; a concurrent publish is either
@@ -967,15 +813,6 @@ impl SelectionEngine {
             .expect("decider lock poisoned")
             .switches
             .clone()
-    }
-
-    /// The decider's current calibrated cost constants, in registry order.
-    pub fn cost_constants(&self) -> Vec<CostConstants> {
-        self.decider
-            .lock()
-            .expect("decider lock poisoned")
-            .costs
-            .constants()
     }
 
     /// The observed draws-per-publish rate the decider is currently using
@@ -1012,7 +849,6 @@ impl SelectionEngine {
     /// | `lrb_categories` | gauge | categories in the weight vector |
     /// | `lrb_simd_lanes` | gauge | Philox lanes per SIMD op (8/4/1) |
     /// | `lrb_draws_per_publish` | gauge | decider's observed draw-rate EWMA |
-    /// | `lrb_cost_<backend>_{build,draw,patch}_ns_per_op` | gauge | cost-model EWMAs |
     /// | `lrb_wal_records_total` | counter | WAL records appended |
     /// | `lrb_wal_bytes_total` | counter | WAL frame bytes appended |
     /// | `lrb_checkpoints_total` | counter | checkpoints committed |
@@ -1134,24 +970,6 @@ impl SelectionEngine {
             "Observed draws-per-publish EWMA driving the decider",
             self.observed_draws_per_publish(),
         );
-        for constants in self.cost_constants() {
-            let backend = constants.backend.replace('-', "_");
-            out.gauge(
-                &format!("lrb_cost_{backend}_build_ns_per_op"),
-                "Cost-model EWMA: nanoseconds per abstract build op",
-                constants.build_ns_per_op,
-            )
-            .gauge(
-                &format!("lrb_cost_{backend}_draw_ns_per_op"),
-                "Cost-model EWMA: nanoseconds per abstract draw op",
-                constants.draw_ns_per_op,
-            )
-            .gauge(
-                &format!("lrb_cost_{backend}_patch_ns_per_op"),
-                "Cost-model EWMA: nanoseconds per abstract patch op",
-                constants.patch_ns_per_op,
-            );
-        }
         out.histogram(
             "lrb_publish_ns",
             "Full publish() spans, nanoseconds",
@@ -1459,7 +1277,6 @@ mod tests {
             assert_eq!(e.snapshot().backend(), name);
             assert_eq!(e.stats().backend_switches, 0);
             assert!(e.switch_history().is_empty());
-            assert!(e.maybe_rebalance().unwrap().is_none(), "{name} rebalanced");
         }
     }
 
@@ -1485,7 +1302,6 @@ mod tests {
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].version, 1);
         assert_eq!(history[0].from, "stochastic-acceptance");
-        assert!(!history[0].mid_stream);
         assert_eq!(e.stats().backend_switches, 1);
     }
 
@@ -1512,78 +1328,6 @@ mod tests {
         assert!(e.observed_draws_per_publish() < 1024.0);
         assert_eq!(e.snapshot().backend(), "fenwick");
         assert!(e.stats().backend_switches >= 1);
-    }
-
-    #[test]
-    fn maybe_rebalance_switches_mid_stream_on_observed_drift() {
-        // Publish window hint: one draw (nothing amortises an alias build),
-        // so construction picks the cheap-build Fenwick tree. Then readers
-        // hammer the snapshot with no publish in sight: the served counter
-        // is the drift signal, and the mid-stream decider moves onto O(1)
-        // alias draws without any pending write.
-        let config = EngineConfig {
-            backend: BackendChoice::Auto,
-            expected_draws_per_publish: 1.0,
-            ..EngineConfig::default()
-        };
-        let n = 4096;
-        // Skewed weights keep stochastic acceptance out of the running, so
-        // the contest is fenwick (cheap build) vs alias (cheap draws).
-        let weights: Vec<f64> = (0..n).map(|i| if i == 0 { 1.0e6 } else { 1.0 }).collect();
-        let e = SelectionEngine::new(weights, config).unwrap();
-        assert_eq!(e.snapshot().backend(), "fenwick");
-        assert!(e.maybe_rebalance().unwrap().is_none(), "no drift yet");
-        let mut rng = MersenneTwister64::seed_from_u64(9);
-        let _ = e.snapshot().sample_many(&mut rng, 100_000).unwrap();
-        let switched = e.maybe_rebalance().unwrap();
-        assert_eq!(switched, Some(1));
-        assert_eq!(e.snapshot().backend(), "alias");
-        let last = *e.switch_history().last().unwrap();
-        assert!(last.mid_stream);
-        assert_eq!(last.from, "fenwick");
-        assert_eq!(last.to, "alias");
-        assert_eq!(last.draws_served, 100_000);
-        // Same weights, just a different engine underneath.
-        assert_eq!(e.snapshot().weight(0), 1.0e6);
-        // Re-running without further drift is a no-op (the fresh snapshot
-        // has served nothing yet, and alias stays cheapest mid-stream).
-        assert!(e.maybe_rebalance().unwrap().is_none());
-    }
-
-    #[test]
-    fn rebalance_defers_to_pending_writes() {
-        let config = EngineConfig {
-            backend: BackendChoice::Auto,
-            expected_draws_per_publish: 1.0,
-            ..EngineConfig::default()
-        };
-        let e = SelectionEngine::new(vec![1.0; 256], config).unwrap();
-        e.enqueue(0, 3.0).unwrap();
-        assert!(e.maybe_rebalance().unwrap().is_none());
-        assert_eq!(e.version(), 0, "rebalance must not publish pending writes");
-    }
-
-    #[test]
-    fn calibrated_engines_still_serve_exact_snapshots() {
-        let config = EngineConfig {
-            backend: BackendChoice::Auto,
-            calibrate: true,
-            ..EngineConfig::default()
-        };
-        let e = SelectionEngine::new(vec![1.0, 2.0, 3.0, 4.0], config).unwrap();
-        for constants in e.cost_constants() {
-            assert!(constants.build_ns_per_op > 0.0, "{}", constants.backend);
-            assert!(constants.draw_ns_per_op > 0.0, "{}", constants.backend);
-        }
-        e.enqueue(0, 2.0).unwrap();
-        e.publish().unwrap();
-        let snap = e.snapshot();
-        assert_eq!(snap.weights(), &[2.0, 2.0, 3.0, 4.0]);
-        let counts = snap.batch_counts(40_000, 5).unwrap();
-        assert_eq!(counts.iter().sum::<u64>(), 40_000);
-        // 2/11 of the mass on index 0.
-        let freq = counts[0] as f64 / 40_000.0;
-        assert!((freq - 2.0 / 11.0).abs() < 0.01, "{freq}");
     }
 
     #[test]
@@ -1708,23 +1452,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_stream_rebalances_never_patch() {
-        let config = EngineConfig {
-            backend: BackendChoice::Auto,
-            expected_draws_per_publish: 1.0,
-            patch: PatchPolicy::Always,
-            ..EngineConfig::default()
-        };
-        let n = 4096;
-        let weights: Vec<f64> = (0..n).map(|i| if i == 0 { 1.0e6 } else { 1.0 }).collect();
-        let e = SelectionEngine::new(weights, config).unwrap();
-        let mut rng = MersenneTwister64::seed_from_u64(9);
-        let _ = e.snapshot().sample_many(&mut rng, 100_000).unwrap();
-        assert_eq!(e.maybe_rebalance().unwrap(), Some(1));
-        assert_eq!(e.stats().patched, 0, "a backend switch cannot patch");
-    }
-
-    #[test]
     fn journal_explains_publishes_and_switches() {
         use crate::telemetry::EngineEvent;
         let config = EngineConfig {
@@ -1833,8 +1560,6 @@ mod tests {
             "lrb_publish_ns{quantile=\"0.99\"}",
             "lrb_freeze_ns_count 1",
             "lrb_simd_lanes",
-            "lrb_cost_fenwick_build_ns_per_op",
-            "lrb_cost_stochastic_acceptance_draw_ns_per_op",
             "lrb_snapshot_version 1",
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");

@@ -1,35 +1,23 @@
-//! The backend cost model: pick the cheapest sampler for a workload, with
-//! constants that come from **measurement** instead of guesswork.
+//! The backend decider: pick the cheapest sampler for a workload from a
+//! closed-form cost model.
 //!
 //! Every publish freezes the weight vector into a new immutable snapshot, so
-//! the relevant cost per publish window is
-//! `build(backend) + draws · per_draw(backend)`. Each registered
-//! [`FrozenBackend`](crate::backend::FrozenBackend) supplies its own
-//! closed-form *abstract* cost (in scale-free "weight ops"); the
-//! [`CostEstimator`] here scales those ops into nanoseconds per backend:
+//! the relevant cost per publish window is `freeze + draws · per_draw`.
+//! Each registered [`FrozenBackend`] supplies its own closed-form cost in
+//! scale-free abstract "weight ops"; *freeze* is a full build or — for the
+//! incumbent backend only — an incremental patch of the previous snapshot
+//! when that is cheaper. [`cheapest_for_publish`] takes the arg-min (ties
+//! break toward earlier registry entries), [`patch_beats_rebuild`] answers
+//! the freeze-path question alone for a pinned backend, and
+//! [`choose_backend`] is the arg-min when the build must be paid.
 //!
-//! * [`CostEstimator::unit`] uses 1 ns/op everywhere, reducing the choice to
-//!   the pure closed-form arg-min — deterministic, host-independent, the
-//!   default for tests and fixed workloads;
-//! * [`CostEstimator::calibrate`] runs a one-shot startup micro-benchmark
-//!   (build + a burst of draws per backend) so the constants reflect what
-//!   the ops actually cost *on this host*;
-//! * per-publish observations of real build and draw times feed an EWMA on
-//!   top of either seed, so the estimate tracks drift (cache pressure,
-//!   frequency scaling, changing skew) while the engine runs.
-//!
-//! The estimator also answers the **mid-stream** question
-//! ([`CostEstimator::cheapest_given_incumbent`]): once a snapshot is built,
-//! its build cost is sunk, so switching backends between publishes pays the
-//! challenger's build against only the incumbent's *remaining* draw cost —
-//! the decider logic behind
-//! [`SelectionEngine::maybe_rebalance`](crate::SelectionEngine::maybe_rebalance).
+//! The only observed input is `draws`: the engine keeps an [`Ewma`] of how
+//! many draws each outgoing snapshot actually served and scores the next
+//! publish against it. Everything else is a function of the weights and
+//! the coalesced batch, so a given run makes the same choices on every
+//! host.
 
-use std::time::Instant;
-
-use lrb_rng::Philox4x32;
-
-use crate::backend::{BackendCost, BackendRegistry};
+use crate::backend::{BackendRegistry, FrozenBackend};
 
 /// How the engine should pick its snapshot backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,248 +99,77 @@ impl Ewma {
     }
 }
 
-/// Calibrated nanoseconds-per-abstract-op for one backend (one line of the
-/// estimator's state, exposed for reports and `BENCH_engine.json`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostConstants {
-    /// Registry name of the backend.
-    pub backend: &'static str,
-    /// EWMA nanoseconds per abstract build op.
-    pub build_ns_per_op: f64,
-    /// EWMA nanoseconds per abstract draw op.
-    pub draw_ns_per_op: f64,
-    /// EWMA nanoseconds per abstract incremental-patch op (1.0 until a
-    /// patch has been observed; meaningful only for backends with a patch
-    /// path).
-    pub patch_ns_per_op: f64,
+/// The publish-time decision: the backend whose publish window
+/// `freeze + draws · per_draw` costs the fewest abstract ops under
+/// `profile`, and whether it should freeze by patching. Every challenger
+/// pays its full build; the `incumbent` (the backend the previous snapshot
+/// was frozen under) may instead pay its patch price for the `dirty`
+/// coalesced categories (with a whole-vector scale fold when `scaled`)
+/// whenever that undercuts its build. Ties break toward earlier registry
+/// entries.
+pub fn cheapest_for_publish(
+    registry: &BackendRegistry,
+    profile: &WorkloadProfile,
+    incumbent: Option<usize>,
+    dirty: usize,
+    scaled: bool,
+) -> (usize, bool) {
+    assert!(!registry.is_empty(), "cannot choose from an empty registry");
+    let draws = profile.draws_per_publish.max(0.0);
+    let mut best = (0, false);
+    let mut best_ops = f64::INFINITY;
+    for (entry, backend) in registry.entries().iter().enumerate() {
+        let cost = backend.model_cost(profile);
+        let patch_ops = if incumbent == Some(entry) {
+            cheaper_patch(backend.as_ref(), profile, cost.build_ops, dirty, scaled)
+        } else {
+            None
+        };
+        let ops = patch_ops.unwrap_or(cost.build_ops) + draws * cost.per_draw_ops;
+        if ops < best_ops {
+            best = (entry, patch_ops.is_some());
+            best_ops = ops;
+        }
+    }
+    best
 }
 
-/// EWMA smoothing factor for per-publish cost observations: heavy enough to
-/// track drift within tens of publishes, light enough that one noisy timing
-/// cannot flip the decider.
-const COST_EWMA_ALPHA: f64 = 0.2;
-
-/// Draws timed per backend during the one-shot startup micro-calibration.
-const CALIBRATION_DRAWS: usize = 512;
-
-/// Per-backend nanosecond cost constants: a closed-form op model scaled by
-/// measured (or unit) ns/op, updated by EWMA as real publishes are observed.
-#[derive(Debug, Clone)]
-pub struct CostEstimator {
-    names: Vec<&'static str>,
-    build_ns_per_op: Vec<Ewma>,
-    draw_ns_per_op: Vec<Ewma>,
-    patch_ns_per_op: Vec<Ewma>,
+/// Whether registry `entry`, as the incumbent, should freeze the next
+/// snapshot by patching `dirty` categories rather than rebuilding — the
+/// freeze-path half of [`cheapest_for_publish`], for engines whose backend
+/// is pinned by [`BackendChoice::Fixed`].
+pub fn patch_beats_rebuild(
+    registry: &BackendRegistry,
+    profile: &WorkloadProfile,
+    entry: usize,
+    dirty: usize,
+    scaled: bool,
+) -> bool {
+    let backend = &registry.entries()[entry];
+    let build_ops = backend.model_cost(profile).build_ops;
+    cheaper_patch(backend.as_ref(), profile, build_ops, dirty, scaled).is_some()
 }
 
-impl CostEstimator {
-    /// Uncalibrated constants: 1 ns per abstract op everywhere, so choices
-    /// reduce to the deterministic closed-form arg-min.
-    pub fn unit(registry: &BackendRegistry) -> Self {
-        Self {
-            names: registry.names(),
-            build_ns_per_op: vec![Ewma::new(COST_EWMA_ALPHA); registry.len()],
-            draw_ns_per_op: vec![Ewma::new(COST_EWMA_ALPHA); registry.len()],
-            patch_ns_per_op: vec![Ewma::new(COST_EWMA_ALPHA); registry.len()],
-        }
-    }
-
-    /// One-shot startup micro-calibration: for every registered backend,
-    /// build a probe sampler over `probe_categories` mildly skewed weights
-    /// and time the build plus a burst of draws, seeding the ns/op EWMAs
-    /// with what this host actually measures.
-    pub fn calibrate(registry: &BackendRegistry, probe_categories: usize) -> Self {
-        let mut estimator = Self::unit(registry);
-        let n = probe_categories.clamp(16, 8192);
-        // Mild skew keeps stochastic acceptance in its rejection regime, as
-        // in realistic serving, without tripping its degenerate fallback.
-        let weights: Vec<f64> = (0..n).map(|i| ((i % 7) + 1) as f64).collect();
-        let profile = WorkloadProfile::measure(&weights, CALIBRATION_DRAWS as f64);
-        let mut buffer = vec![0usize; CALIBRATION_DRAWS];
-        // A small probe batch (~1% dirty) for seeding the patch constants.
-        let probe_overrides: Vec<(usize, f64)> =
-            (0..(n / 100).max(1)).map(|i| ((i * 97) % n, 2.5)).collect();
-        for (entry, backend) in registry.entries().iter().enumerate() {
-            let cost = backend.model_cost(&profile);
-            let started = Instant::now();
-            let Ok(sampler) = backend.build(&weights) else {
-                continue; // a backend that cannot build the probe keeps unit costs
-            };
-            estimator.observe_build(entry, &cost, started.elapsed().as_nanos() as f64);
-            let mut rng = Philox4x32::for_substream(0xCA11B8, entry as u64);
-            let started = Instant::now();
-            if sampler.sample_into(&mut rng, &mut buffer).is_ok() {
-                estimator.observe_draws(
-                    entry,
-                    &cost,
-                    CALIBRATION_DRAWS as f64,
-                    started.elapsed().as_nanos() as f64,
-                );
-            }
-            if let Some(patch_ops) =
-                backend.model_patch_cost(&profile, probe_overrides.len(), false)
-            {
-                let started = Instant::now();
-                if let Some(Ok(_)) = backend.try_patch(sampler.as_ref(), &probe_overrides, 1.0) {
-                    estimator.observe_patch(entry, patch_ops, started.elapsed().as_nanos() as f64);
-                }
-            }
-        }
-        estimator
-    }
-
-    /// Fold in a measured build: `elapsed_ns` for a build the model priced
-    /// at `cost.build_ops` abstract ops.
-    pub fn observe_build(&mut self, entry: usize, cost: &BackendCost, elapsed_ns: f64) {
-        if cost.build_ops > 0.0 {
-            self.build_ns_per_op[entry].observe(elapsed_ns / cost.build_ops);
-        }
-    }
-
-    /// Fold in measured draws: `elapsed_ns` for `draws` draws the model
-    /// priced at `cost.per_draw_ops` abstract ops each.
-    pub fn observe_draws(&mut self, entry: usize, cost: &BackendCost, draws: f64, elapsed_ns: f64) {
-        let ops = draws * cost.per_draw_ops;
-        if ops > 0.0 {
-            self.draw_ns_per_op[entry].observe(elapsed_ns / ops);
-        }
-    }
-
-    /// Fold in a measured incremental patch: `elapsed_ns` for a patch the
-    /// model priced at `patch_ops` abstract ops.
-    pub fn observe_patch(&mut self, entry: usize, patch_ops: f64, elapsed_ns: f64) {
-        if patch_ops > 0.0 {
-            self.patch_ns_per_op[entry].observe(elapsed_ns / patch_ops);
-        }
-    }
-
-    /// Predicted nanoseconds to freeze via a full build on `entry`.
-    pub fn build_ns(&self, entry: usize, build_ops: f64) -> f64 {
-        self.build_ns_per_op[entry].get(1.0) * build_ops
-    }
-
-    /// Predicted nanoseconds to freeze via an incremental patch on `entry`.
-    pub fn patch_ns(&self, entry: usize, patch_ops: f64) -> f64 {
-        self.patch_ns_per_op[entry].get(1.0) * patch_ops
-    }
-
-    /// Predicted nanoseconds for one publish window on `entry`:
-    /// `build + draws · per_draw`, in calibrated ns.
-    pub fn window_ns(&self, entry: usize, cost: &BackendCost, draws: f64) -> f64 {
-        self.build_ns_per_op[entry].get(1.0) * cost.build_ops
-            + draws.max(0.0) * self.draw_ns_per_op[entry].get(1.0) * cost.per_draw_ops
-    }
-
-    /// The cheapest backend for `profile` when the build must be paid (the
-    /// publish-time question). Ties break toward earlier registry entries.
-    pub fn cheapest(&self, registry: &BackendRegistry, profile: &WorkloadProfile) -> usize {
-        self.argmin(registry, profile, None)
-    }
-
-    /// The publish-time decision with the incremental fast path priced in:
-    /// every challenger pays its full build, while the `incumbent` (the
-    /// backend the previous snapshot was frozen under) may instead pay its
-    /// patch cost for the `dirty` coalesced categories — whichever of its
-    /// two freeze paths is cheaper. Returns the winning entry and whether
-    /// the incumbent won *because of* (and should take) the patch path.
-    pub fn cheapest_for_publish(
-        &self,
-        registry: &BackendRegistry,
-        profile: &WorkloadProfile,
-        incumbent: Option<usize>,
-        dirty: usize,
-        scaled: bool,
-    ) -> (usize, bool) {
-        assert!(!registry.is_empty(), "cannot choose from an empty registry");
-        let draws = profile.draws_per_publish.max(0.0);
-        let mut best = 0;
-        let mut best_ns = f64::INFINITY;
-        let mut best_patches = false;
-        for (entry, backend) in registry.entries().iter().enumerate() {
-            let cost = backend.model_cost(profile);
-            let build_ns = self.build_ns(entry, cost.build_ops);
-            let mut freeze_ns = build_ns;
-            let mut patches = false;
-            if incumbent == Some(entry) {
-                if let Some(patch_ops) = backend.model_patch_cost(profile, dirty, scaled) {
-                    let patch_ns = self.patch_ns(entry, patch_ops);
-                    if patch_ns < build_ns {
-                        freeze_ns = patch_ns;
-                        patches = true;
-                    }
-                }
-            }
-            let ns = freeze_ns + draws * self.draw_ns_per_op[entry].get(1.0) * cost.per_draw_ops;
-            if ns < best_ns {
-                best = entry;
-                best_ns = ns;
-                best_patches = patches;
-            }
-        }
-        (best, best_patches)
-    }
-
-    /// The cheapest backend when `incumbent` is already built (the
-    /// mid-stream question): the incumbent's build cost is sunk, so a
-    /// challenger must amortise its own build against the incumbent's
-    /// remaining draw cost within one expected window. Returns the
-    /// incumbent's index when staying put is cheapest.
-    pub fn cheapest_given_incumbent(
-        &self,
-        registry: &BackendRegistry,
-        profile: &WorkloadProfile,
-        incumbent: usize,
-    ) -> usize {
-        self.argmin(registry, profile, Some(incumbent))
-    }
-
-    fn argmin(
-        &self,
-        registry: &BackendRegistry,
-        profile: &WorkloadProfile,
-        incumbent: Option<usize>,
-    ) -> usize {
-        assert!(!registry.is_empty(), "cannot choose from an empty registry");
-        let draws = profile.draws_per_publish;
-        let mut best = 0;
-        let mut best_ns = f64::INFINITY;
-        for (entry, backend) in registry.entries().iter().enumerate() {
-            let cost = backend.model_cost(profile);
-            let ns = if incumbent == Some(entry) {
-                // Sunk build: only the remaining draws cost anything.
-                draws.max(0.0) * self.draw_ns_per_op[entry].get(1.0) * cost.per_draw_ops
-            } else {
-                self.window_ns(entry, &cost, draws)
-            };
-            if ns < best_ns {
-                best = entry;
-                best_ns = ns;
-            }
-        }
-        best
-    }
-
-    /// The current constants, in registry order (for telemetry reports).
-    pub fn constants(&self) -> Vec<CostConstants> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(entry, &backend)| CostConstants {
-                backend,
-                build_ns_per_op: self.build_ns_per_op[entry].get(1.0),
-                draw_ns_per_op: self.draw_ns_per_op[entry].get(1.0),
-                patch_ns_per_op: self.patch_ns_per_op[entry].get(1.0),
-            })
-            .collect()
-    }
+/// The backend's patch price, when it has a patch path that undercuts a
+/// full build of `build_ops`.
+fn cheaper_patch(
+    backend: &dyn FrozenBackend,
+    profile: &WorkloadProfile,
+    build_ops: f64,
+    dirty: usize,
+    scaled: bool,
+) -> Option<f64> {
+    backend
+        .model_patch_cost(profile, dirty, scaled)
+        .filter(|&patch_ops| patch_ops < build_ops)
 }
 
-/// Pick the cheapest backend for the profile with **unit** cost constants —
-/// the deterministic closed-form arg-min (ties break toward the earliest
-/// registry entry; in the standard registry that is the Fenwick tree, the
-/// most predictable engine).
+/// Pick the cheapest backend for the profile when the build must be paid —
+/// the closed-form arg-min with no incumbent (ties break toward the
+/// earliest registry entry; in the standard registry that is the Fenwick
+/// tree, the most predictable engine).
 pub fn choose_backend(registry: &BackendRegistry, profile: &WorkloadProfile) -> &'static str {
-    let entry = CostEstimator::unit(registry).cheapest(registry, profile);
+    let (entry, _) = cheapest_for_publish(registry, profile, None, 0, false);
     registry.entries()[entry].name()
 }
 
@@ -439,86 +256,180 @@ mod tests {
     }
 
     #[test]
-    fn observations_steer_the_choice() {
-        // A profile where unit costs pick stochastic acceptance; make SA
-        // draws look 100x more expensive than measured elsewhere and the
-        // arg-min must move off it.
-        let registry = registry();
-        let profile = WorkloadProfile {
-            categories: 4096,
-            draws_per_publish: 1024.0,
-            skew: 1.0,
-        };
-        let mut estimator = CostEstimator::unit(&registry);
-        let sa = registry.index_of("stochastic-acceptance").unwrap();
-        assert_eq!(estimator.cheapest(&registry, &profile), sa);
-        let cost = registry.entries()[sa].model_cost(&profile);
-        for _ in 0..32 {
-            estimator.observe_draws(sa, &cost, 1.0, 100.0 * cost.per_draw_ops);
-        }
-        assert_ne!(estimator.cheapest(&registry, &profile), sa);
-    }
-
-    #[test]
-    fn incumbent_build_cost_is_sunk_mid_stream() {
-        // Few draws left in the window: switching cannot amortise a build,
-        // so the incumbent survives even where a fresh publish would pick
-        // differently.
-        let registry = registry();
-        let estimator = CostEstimator::unit(&registry);
-        let profile = WorkloadProfile {
-            categories: 4096,
-            draws_per_publish: 4.0,
-            skew: 1.0,
-        };
-        let alias = registry.index_of("alias").unwrap();
-        assert_ne!(estimator.cheapest(&registry, &profile), alias);
-        assert_eq!(
-            estimator.cheapest_given_incumbent(&registry, &profile, alias),
-            alias,
-            "a sunk build must not be re-charged"
-        );
-        // With a huge remaining window the incumbent's per-draw penalty
-        // dominates and the decider switches away.
-        let heavy = WorkloadProfile {
-            categories: 4096,
-            draws_per_publish: 1.0e7,
-            skew: 2_000.0,
-        };
-        let sa = registry.index_of("stochastic-acceptance").unwrap();
-        assert_ne!(
-            estimator.cheapest_given_incumbent(&registry, &heavy, sa),
-            sa,
-            "degenerate skew must push draws off stochastic acceptance"
-        );
-    }
-
-    #[test]
-    fn calibrate_seeds_every_constant() {
-        let registry = registry();
-        let estimator = CostEstimator::calibrate(&registry, 2048);
-        for constants in estimator.constants() {
-            assert!(
-                constants.build_ns_per_op > 0.0 && constants.build_ns_per_op.is_finite(),
-                "{}: build {}",
-                constants.backend,
-                constants.build_ns_per_op
-            );
-            assert!(
-                constants.draw_ns_per_op > 0.0 && constants.draw_ns_per_op.is_finite(),
-                "{}: draw {}",
-                constants.backend,
-                constants.draw_ns_per_op
-            );
-        }
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(BackendChoice::default(), BackendChoice::Auto);
         assert_eq!(
             registry().names(),
             vec!["fenwick", "alias", "stochastic-acceptance"]
         );
+    }
+}
+
+/// The decider's golden table: the choices the closed-form cost model makes
+/// over a grid of workloads, which any rewrite of the decider must
+/// reproduce exactly. One row per
+/// `(n, draws_per_publish, skew)`; the first string holds the publish-time
+/// choice for incumbent ∈ {none, fenwick, alias, stochastic-acceptance} ×
+/// dirty ∈ {1, 1 % of n} × scaled ∈ {no, yes}, one letter per cell
+/// (`F`/`A`/`S` rebuild, lower case patch); the second holds the
+/// `BackendChoice::Fixed` patch decision per backend (same dirty × scaled
+/// order, `p` patch, `-` rebuild).
+#[cfg(test)]
+#[rustfmt::skip]
+const GOLDEN_DECISIONS: &[(usize, f64, f64, &str, &str)] = &[
+    (16, 0.0, 1.0, "FFFFfFfFFFFFssss", "p-p- ---- pppp"),
+    (16, 0.0, 1.2, "FFFFfFfFFFFFssss", "p-p- ---- pppp"),
+    (16, 0.0, 8.0, "FFFFfFfFFFFFssss", "p-p- ---- pppp"),
+    (16, 0.0, 300.0, "FFFFfFfFFFFFssss", "p-p- ---- pppp"),
+    (16, 0.0, 1.0e4, "FFFFfFfFFFFFssss", "p-p- ---- pppp"),
+    (16, 1.0, 1.0, "SSSSfSfSSSSSssss", "p-p- ---- pppp"),
+    (16, 1.0, 1.2, "SSSSfSfSSSSSssss", "p-p- ---- pppp"),
+    (16, 1.0, 8.0, "FFFFfFfFFFFFFFFF", "p-p- ---- pppp"),
+    (16, 1.0, 300.0, "FFFFfFfFFFFFFFFF", "p-p- ---- pppp"),
+    (16, 1.0, 1.0e4, "FFFFfFfFFFFFFFFF", "p-p- ---- pppp"),
+    (16, 64.0, 1.0, "SSSSSSSSSSSSssss", "p-p- ---- pppp"),
+    (16, 64.0, 1.2, "SSSSSSSSSSSSssss", "p-p- ---- pppp"),
+    (16, 64.0, 8.0, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 64.0, 300.0, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 64.0, 1.0e4, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1024.0, 1.0, "SSSSSSSSSSSSssss", "p-p- ---- pppp"),
+    (16, 1024.0, 1.2, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1024.0, 8.0, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1024.0, 300.0, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1024.0, 1.0e4, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1.0e6, 1.0, "SSSSSSSSSSSSssss", "p-p- ---- pppp"),
+    (16, 1.0e6, 1.2, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1.0e6, 8.0, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1.0e6, 300.0, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (16, 1.0e6, 1.0e4, "AAAAAAAAAAAAAAAA", "p-p- ---- pppp"),
+    (4096, 0.0, 1.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 0.0, 1.2, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 0.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 0.0, 300.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 0.0, 1.0e4, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 1.0, 1.0, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (4096, 1.0, 1.2, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (4096, 1.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 1.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (4096, 1.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (4096, 64.0, 1.0, "SSSSfffSSSSSssss", "pppp ---- pppp"),
+    (4096, 64.0, 1.2, "SSSSfffSSSSSssss", "pppp ---- pppp"),
+    (4096, 64.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (4096, 64.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (4096, 64.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (4096, 1024.0, 1.0, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (4096, 1024.0, 1.2, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (4096, 1024.0, 8.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (4096, 1024.0, 300.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (4096, 1024.0, 1.0e4, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (4096, 1.0e6, 1.0, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (4096, 1.0e6, 1.2, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (4096, 1.0e6, 8.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (4096, 1.0e6, 300.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (4096, 1.0e6, 1.0e4, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (16384, 0.0, 1.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 0.0, 1.2, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 0.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 0.0, 300.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 0.0, 1.0e4, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 1.0, 1.0, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (16384, 1.0, 1.2, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (16384, 1.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 1.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (16384, 1.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (16384, 64.0, 1.0, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (16384, 64.0, 1.2, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (16384, 64.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 64.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (16384, 64.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (16384, 1024.0, 1.0, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (16384, 1024.0, 1.2, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (16384, 1024.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (16384, 1024.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (16384, 1024.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (16384, 1.0e6, 1.0, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (16384, 1.0e6, 1.2, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (16384, 1.0e6, 8.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (16384, 1.0e6, 300.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (16384, 1.0e6, 1.0e4, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (65536, 0.0, 1.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 0.0, 1.2, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 0.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 0.0, 300.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 0.0, 1.0e4, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 1.0, 1.0, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (65536, 1.0, 1.2, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (65536, 1.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 1.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (65536, 1.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (65536, 64.0, 1.0, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (65536, 64.0, 1.2, "SSSSffffSSSSssss", "pppp ---- pppp"),
+    (65536, 64.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 64.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (65536, 64.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (65536, 1024.0, 1.0, "SSSSfffSSSSSssss", "pppp ---- pppp"),
+    (65536, 1024.0, 1.2, "SSSSfffSSSSSssss", "pppp ---- pppp"),
+    (65536, 1024.0, 8.0, "FFFFffffFFFFssss", "pppp ---- pppp"),
+    (65536, 1024.0, 300.0, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (65536, 1024.0, 1.0e4, "FFFFffffFFFFFFFF", "pppp ---- pppp"),
+    (65536, 1.0e6, 1.0, "SSSSSSSSSSSSssss", "pppp ---- pppp"),
+    (65536, 1.0e6, 1.2, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (65536, 1.0e6, 8.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (65536, 1.0e6, 300.0, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+    (65536, 1.0e6, 1.0e4, "AAAAAAAAAAAAAAAA", "pppp ---- pppp"),
+];
+
+#[cfg(test)]
+mod golden {
+    use super::*;
+
+    #[test]
+    fn decisions_match_the_golden_table() {
+        let registry = BackendRegistry::standard();
+        let letters = ['F', 'A', 'S'];
+        assert_eq!(GOLDEN_DECISIONS.len(), 4 * 5 * 5);
+        for &(n, draws, skew, publish, fixed) in GOLDEN_DECISIONS {
+            let profile = WorkloadProfile {
+                categories: n,
+                draws_per_publish: draws,
+                skew,
+            };
+            let cells = || {
+                [1, (n / 100).max(1)]
+                    .into_iter()
+                    .flat_map(|dirty| [(dirty, false), (dirty, true)])
+            };
+            let mut got = String::new();
+            for incumbent in [None, Some(0), Some(1), Some(2)] {
+                for (dirty, scaled) in cells() {
+                    let (entry, patches) =
+                        cheapest_for_publish(&registry, &profile, incumbent, dirty, scaled);
+                    let letter = letters[entry];
+                    got.push(if patches {
+                        letter.to_ascii_lowercase()
+                    } else {
+                        letter
+                    });
+                }
+            }
+            assert_eq!(
+                got, publish,
+                "publish choice at n={n} draws={draws} skew={skew}"
+            );
+            let mut got = String::new();
+            for entry in 0..registry.len() {
+                if entry > 0 {
+                    got.push(' ');
+                }
+                for (dirty, scaled) in cells() {
+                    let patches = patch_beats_rebuild(&registry, &profile, entry, dirty, scaled);
+                    got.push(if patches { 'p' } else { '-' });
+                }
+            }
+            assert_eq!(
+                got, fixed,
+                "fixed patch choice at n={n} draws={draws} skew={skew}"
+            );
+        }
     }
 }

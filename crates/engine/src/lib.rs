@@ -28,22 +28,18 @@
 //!   draws, skew-immune), Vose alias table (`O(1)` draws, priciest build),
 //!   stochastic acceptance (`O(1)` expected draws on balanced weights) —
 //!   plus anything the caller registers.
-//! * [`choose_backend`] / [`CostEstimator`] — the decider: each backend
-//!   prices a publish window as `freeze + draws · per_draw` in abstract
-//!   ops, where *freeze* is a full build — or, for the incumbent backend,
-//!   an **incremental patch** of the previous snapshot with the coalesced
-//!   batch (Fenwick: `O(d · log n)` point updates on a pooled copy;
-//!   stochastic acceptance: `O(d)` aggregate maintenance; the alias table
-//!   always rebuilds, with its Vose worklists classified rayon-parallel).
-//!   The estimator scales those ops by per-host constants from a one-shot
-//!   startup micro-calibration plus an EWMA of observed build/patch/draw
-//!   times, picks patch-versus-rebuild per publish
-//!   ([`PatchPolicy`] overrides it for tests), and re-decides at every
-//!   publish — or **mid-stream** via
-//!   [`SelectionEngine::maybe_rebalance`], which treats the incumbent's
-//!   build as sunk and switches only when the observed workload drift pays
-//!   for the new build. Switches land in
-//!   [`SelectionEngine::switch_history`].
+//! * [`choose_backend`] / [`heuristic::cheapest_for_publish`] — the
+//!   decider: each backend prices a publish window as
+//!   `freeze + draws · per_draw` in abstract ops, where *freeze* is a full
+//!   build — or, for the incumbent backend, an **incremental patch** of
+//!   the previous snapshot with the coalesced batch (Fenwick:
+//!   `O(d · log n)` point updates on a pooled copy; stochastic acceptance:
+//!   `O(d)` aggregate maintenance; the alias table always rebuilds, with
+//!   its Vose worklists classified rayon-parallel). The closed-form
+//!   arg-min picks backend and patch-versus-rebuild at every publish
+//!   ([`PatchPolicy`] overrides the freeze path for tests), with `draws`
+//!   read from an EWMA of the draws each outgoing snapshot served.
+//!   Switches land in [`SelectionEngine::switch_history`].
 //!
 //! ## Quickstart
 //!
@@ -87,9 +83,7 @@ pub use backend::{
     StochasticAcceptanceBackend,
 };
 pub use engine::{BackendSwitch, EngineConfig, EngineStats, PatchPolicy, SelectionEngine};
-pub use heuristic::{
-    choose_backend, BackendChoice, CostConstants, CostEstimator, Ewma, WorkloadProfile,
-};
+pub use heuristic::{choose_backend, BackendChoice, Ewma, WorkloadProfile};
 pub use lrb_durable::{Durability, FsyncPolicy, WalOptions};
 pub use snapshot::Snapshot;
 pub use telemetry::{EngineEvent, EngineTelemetry, JournalEntry, JOURNAL_CAPACITY};

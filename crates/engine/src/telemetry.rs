@@ -17,8 +17,8 @@
 //! The **flight recorder** journals the structured [`EngineEvent`]s that
 //! explain a run post-hoc: what every publish did (backend, patched or
 //! rebuilt, freeze nanoseconds, dirty count, scale), why the decider
-//! switched backends (the cost-model inputs that drove it), what the
-//! startup calibration measured, and which SIMD tier the host detected.
+//! switched backends (the cost-model inputs that drove it), and which SIMD
+//! tier the host detected.
 //! The journal keeps the most recent [`JOURNAL_CAPACITY`] events; pushes
 //! are lock-free and never block readers.
 
@@ -26,8 +26,6 @@ use std::time::Instant;
 
 use lrb_obs::{Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot};
 use lrb_rng::SimdTier;
-
-use crate::heuristic::CostConstants;
 
 /// Events the flight recorder retains (the most recent this many).
 pub const JOURNAL_CAPACITY: usize = 256;
@@ -42,13 +40,7 @@ pub enum EngineEvent {
         /// Whether an `LRB_SIMD` environment override was present.
         overridden: bool,
     },
-    /// One backend's startup micro-calibration result (only under
-    /// [`EngineConfig::calibrate`](crate::EngineConfig::calibrate)).
-    Calibrated {
-        /// The measured per-op cost constants.
-        constants: CostConstants,
-    },
-    /// A snapshot was published (regular publish or mid-stream rebalance).
+    /// A snapshot was published.
     Publish {
         /// Version now current.
         version: u64,
@@ -101,9 +93,6 @@ pub enum EngineEvent {
         skew: f64,
         /// Categories in the weight vector.
         categories: u64,
-        /// Whether the switch came from `maybe_rebalance` (workload drift
-        /// between publishes) rather than a regular publish.
-        mid_stream: bool,
     },
 }
 

@@ -33,7 +33,6 @@ fn main() {
     let config = EngineConfig {
         backend: BackendChoice::Fixed("fenwick"),
         patch: PatchPolicy::Never,
-        calibrate: false,
         durability: Durability::Wal(WalOptions {
             dir: dir.into(),
             // SIGKILL does not lose page-cache writes, so the storm can

@@ -64,14 +64,13 @@ impl Drop for TempDir {
 }
 
 /// The deterministic engine config both the recovered side and the
-/// oracle use: a pinned backend, no patches, no calibration — publishes
+/// oracle use: a pinned backend and no patches — publishes
 /// are then a pure function of the enqueued batches, which is what makes
 /// "bit-identical recovery" a checkable claim rather than a hope.
 fn deterministic_config(durability: Durability) -> EngineConfig {
     EngineConfig {
         backend: BackendChoice::Fixed("fenwick"),
         patch: PatchPolicy::Never,
-        calibrate: false,
         durability,
         ..EngineConfig::default()
     }

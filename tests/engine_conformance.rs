@@ -124,7 +124,7 @@ fn killing_the_survivor_turns_the_snapshot_all_zero() {
 fn telemetry_driven_switches_preserve_conformance() {
     // The decider switches backends as the observed workload drifts; every
     // snapshot along the way must stay exact. Serve draws, spike the skew,
-    // publish, rebalance — and chi-square every snapshot touched.
+    // publish — and chi-square the snapshots on both sides of the switch.
     let n = 256usize;
     let engine = SelectionEngine::new(
         vec![1.0; n],
@@ -159,16 +159,6 @@ fn telemetry_driven_switches_preserve_conformance() {
         !engine.switch_history().is_empty(),
         "the skew spike should have moved the decider off {}",
         before.backend()
-    );
-
-    // Mid-stream rebalance (if the decider takes it) must also stay exact.
-    let _ = engine.maybe_rebalance().unwrap();
-    let rebalanced = engine.snapshot();
-    let counts = rebalanced.batch_counts(TRIALS, 7).unwrap();
-    assert_exact(
-        &format!("rebalanced ({})", rebalanced.backend()),
-        &counts,
-        rebalanced.weights(),
     );
 }
 
