@@ -35,7 +35,7 @@
 //!   reactor's reason to exist).
 //! * `service_fanin_threads` — the process thread count observed with
 //!   every storm connection open must stay under `--max-threads`:
-//!   O(reactors + workers + shards), never O(connections).
+//!   O(reactors + shards), never O(connections).
 //! * `service_pipeline_speedup` — the pipelined client must push at least
 //!   `--min-pipeline-speedup`× the serialized client's single-draw
 //!   throughput on one connection (closed loop, batch 1).

@@ -1,21 +1,20 @@
 //! Per-connection state machine for the event-driven server: a resumable
 //! [`FrameReader`] on the inbound side, an [`OutBuf`] write buffer with
-//! partial-write handling on the outbound side, and the **bounded
-//! in-flight budget** between them.
+//! partial-write handling on the outbound side, and the **per-turn frame
+//! budget** between them.
 //!
-//! The budget is the server's connection-level backpressure: a connection
-//! may have at most [`ServerConfig::inflight_budget`] decoded frames that
-//! have not yet been answered (queued + executing). Once the budget is
-//! reached the reactor stops reading that connection — the `k+1`st frame
-//! stays in the kernel socket buffer (and ultimately pushes back on the
-//! client through TCP flow control) until responses drain. Thread-per-
-//! connection needed an unbounded thread stack per client to get the same
-//! effect; here it is one counter.
+//! The budget is the server's connection-level fairness and backpressure:
+//! one readiness turn decodes at most [`ServerConfig::inflight_budget`]
+//! frames from a connection, serves them inline and answers them before
+//! anything more is read. The `k+1`st frame stays in the kernel socket
+//! buffer (and ultimately pushes back on the client through TCP flow
+//! control) until a later turn, after the reactor's other ready
+//! connections have had theirs.
 //!
 //! Responses are correlated **by order**: frames execute strictly in the
-//! order they arrived on the connection (one run of frames is in flight at
-//! a time), so a pipelining client matches the `n`th response to the `n`th
-//! request without any message ids on the wire.
+//! order they arrived on the connection, on the one thread that owns it,
+//! so a pipelining client matches the `n`th response to the `n`th request
+//! without any message ids on the wire.
 //!
 //! Everything here is transport-generic (`S: Read + Write`), so the budget
 //! and partial-write behaviour are unit-tested against in-memory streams —
@@ -24,13 +23,13 @@
 //!
 //! [`ServerConfig::inflight_budget`]: crate::server::ServerConfig
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
 
 use lrb_rng::{MersenneTwister64, SeedableSource};
 
 use crate::protocol::{Frame, FrameReader};
+use crate::server::execute_run;
+use crate::sharded::ServiceCore;
 
 /// Once this many already-written bytes accumulate at the front of the
 /// outbound buffer, they are compacted away so a long-lived connection's
@@ -98,12 +97,9 @@ impl OutBuf {
     }
 }
 
-/// One multiplexed connection owned by a reactor thread.
-///
-/// The reactor does **all** socket I/O for the connection; workers only see
-/// cloned handles to [`rng`](Self::rng) and post finished response bytes
-/// back through the reactor's completion queue. That keeps every `read`/
-/// `write` on a given fd on one thread — no fd races with teardown.
+/// One multiplexed connection owned by a reactor thread, which does all
+/// of its socket I/O and executes all of its frames, so nothing races
+/// with its teardown.
 #[derive(Debug)]
 pub(crate) struct Connection<S> {
     /// The nonblocking socket (TCP or UDS).
@@ -112,18 +108,11 @@ pub(crate) struct Connection<S> {
     reader: FrameReader,
     /// Outbound responses, in request order.
     out: OutBuf,
-    /// Decoded frames waiting for a worker (order preserved).
-    pending: VecDeque<Frame>,
-    /// Whether a run of frames is currently out with a worker.
-    executing: bool,
-    /// Decoded-but-unanswered frames (pending + executing run).
-    inflight: usize,
-    /// Per-connection RNG for `DRAW_BATCH` and coalesced draw runs;
-    /// shared with the worker executing this connection's current run
-    /// (runs are serial per connection, so the lock is never contended).
-    pub(crate) rng: Arc<Mutex<MersenneTwister64>>,
-    /// Reading is paused because the in-flight budget is exhausted.
-    pub(crate) read_deferred: bool,
+    /// Frames decoded this turn, in arrival order, until
+    /// [`serve`](Self::serve) answers them.
+    run: Vec<Frame>,
+    /// Per-connection RNG for `DRAW_BATCH` and draw runs.
+    rng: MersenneTwister64,
     /// The epoll interest mask currently registered for this connection.
     pub(crate) interest: u32,
 }
@@ -136,18 +125,10 @@ impl<S: Read + Write> Connection<S> {
             sock,
             reader: FrameReader::new(),
             out: OutBuf::default(),
-            pending: VecDeque::new(),
-            executing: false,
-            inflight: 0,
-            rng: Arc::new(Mutex::new(MersenneTwister64::seed_from_u64(rng_seed))),
-            read_deferred: false,
+            run: Vec::new(),
+            rng: MersenneTwister64::seed_from_u64(rng_seed),
             interest: 0,
         }
-    }
-
-    /// Decoded-but-unanswered frames on this connection.
-    pub(crate) fn inflight(&self) -> usize {
-        self.inflight
     }
 
     /// Whether unwritten response bytes are buffered (the reactor keeps
@@ -157,55 +138,33 @@ impl<S: Read + Write> Connection<S> {
     }
 
     /// Read and decode frames until the socket drains (`WouldBlock`) or
-    /// the in-flight `budget` is reached. Returns `Ok(true)` if reading
-    /// was *newly* deferred by the budget — the caller must drop read
-    /// interest until [`complete`](Self::complete) frees budget —
-    /// `Ok(false)` when the kernel buffer drained (or the deferral was
-    /// already in force, so it must not be counted again), and `Err` on
-    /// EOF / framing violation / transport error (the caller closes the
-    /// connection).
+    /// `budget` decoded frames await [`serve`](Self::serve). Returns
+    /// `Ok(true)` when the budget cut the read short — the rest stays in
+    /// the socket for a later turn — `Ok(false)` when the kernel buffer
+    /// drained, and `Err` on EOF / framing violation / transport error
+    /// (the caller closes the connection).
     pub(crate) fn read_frames(&mut self, budget: usize) -> io::Result<bool> {
-        if self.read_deferred {
-            // EPOLLRDHUP stays armed while reads are deferred, so a
-            // half-close can land here with the budget still exhausted;
-            // the deferral is already accounted for.
-            return Ok(false);
-        }
-        while self.inflight < budget {
+        while self.run.len() < budget {
             match self.reader.poll(&mut self.sock)? {
-                Some(frame) => {
-                    self.pending.push_back(frame);
-                    self.inflight += 1;
-                }
+                Some(frame) => self.run.push(frame),
                 None => return Ok(false),
             }
         }
-        self.read_deferred = true;
         Ok(true)
     }
 
-    /// Take the next run of frames for a worker: everything pending, in
-    /// arrival order, if no run is already executing. At most one run per
-    /// connection is in flight at a time, which is what makes response
-    /// order == request order without sequence numbers.
-    pub(crate) fn take_run(&mut self) -> Option<Vec<Frame>> {
-        if self.executing || self.pending.is_empty() {
-            return None;
+    /// Execute the decoded frames inline, in arrival order, and queue
+    /// their responses for write. The caller flushes and then checks
+    /// [`outbound_len`](Self::outbound_len) against the slow-consumer cap
+    /// — the cap judges the backlog the socket refused, not the size of a
+    /// single response.
+    pub(crate) fn serve(&mut self, core: &ServiceCore) {
+        if self.run.is_empty() {
+            return;
         }
-        self.executing = true;
-        Some(self.pending.drain(..).collect())
-    }
-
-    /// Accept a finished run's response bytes: `frames` requests are now
-    /// answered and their encoded responses queue for write. The caller
-    /// flushes and then checks [`outbound_len`](Self::outbound_len)
-    /// against the slow-consumer cap — the cap judges the backlog the
-    /// socket refused, not the size of a single response.
-    pub(crate) fn complete(&mut self, bytes: &[u8], frames: usize) {
-        debug_assert!(self.executing, "completion without an executing run");
-        self.executing = false;
-        self.inflight = self.inflight.saturating_sub(frames);
-        self.out.append(bytes);
+        let bytes = execute_run(&self.run, core, &mut self.rng);
+        self.run.clear();
+        self.out.append(&bytes);
     }
 
     /// Bytes buffered for write (the slow-consumer backlog).
@@ -224,7 +183,6 @@ mod tests {
     use super::*;
     use crate::error::ServiceError;
     use crate::protocol::{codes, encode_request, read_response, OpCode, MAX_FRAME};
-    use crate::server::execute_run;
     use crate::sharded::{ServiceConfig, ShardedService};
     use lrb_rng::{RandomSource, SplitMix64};
 
@@ -297,44 +255,53 @@ mod tests {
     fn budget_defers_the_k_plus_first_frame_until_a_response_drains() {
         // Six frames arrive at once; with a budget of 4 the reactor must
         // decode exactly 4 and leave the rest unread in the "kernel".
+        let service = ShardedService::new(
+            (1..=16).map(f64::from).collect(),
+            ServiceConfig {
+                shards: 2,
+                fanout_workers: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let core = service.core();
         let sock = FakeSock::with_input(draw_frames(6));
         let mut conn = Connection::new(sock, 7);
         let deferred = conn.read_frames(4).unwrap();
         assert!(deferred, "budget was reached, reading must defer");
-        assert!(conn.read_deferred);
-        assert_eq!(conn.inflight(), 4);
-        // A second readiness event while deferred (e.g. EPOLLRDHUP on a
-        // half-close) must not report the deferral a second time.
+        assert_eq!(conn.run.len(), 4);
+        // Another readiness event before the run is answered (e.g.
+        // EPOLLRDHUP on a half-close) must not decode past the budget.
         assert!(
-            !conn.read_frames(4).unwrap(),
-            "an in-force deferral is not a new deferral"
+            conn.read_frames(4).unwrap(),
+            "the budget still caps the turn"
         );
-        assert!(conn.read_deferred, "the deferral itself stays in force");
+        assert_eq!(conn.run.len(), 4);
         assert_eq!(
             conn.sock.unread(),
             draw_frames(2).len(),
             "the 5th and 6th frames must stay unread in the socket buffer"
         );
 
-        // A worker takes the run; nothing more is readable until it
-        // completes.
-        let run = conn.take_run().unwrap();
-        assert_eq!(run.len(), 4);
-        assert!(conn.take_run().is_none(), "one run in flight at a time");
-
-        // Responses drain the budget: now (and only now) the remaining
-        // frames may be read.
-        let mut ok = Vec::new();
-        crate::protocol::encode_ok(&mut ok, &0u64.to_le_bytes());
-        let bytes: Vec<u8> = ok.repeat(4);
-        conn.complete(&bytes, 4);
-        conn.read_deferred = false;
-        assert_eq!(conn.inflight(), 0);
+        // Answering the run frees the budget: now (and only now) the
+        // remaining frames may be read.
+        conn.serve(&core);
+        assert!(conn.run.is_empty());
+        assert!(conn.wants_write());
         let deferred = conn.read_frames(4).unwrap();
         assert!(!deferred);
-        assert_eq!(conn.inflight(), 2);
+        assert_eq!(conn.run.len(), 2);
         assert_eq!(conn.sock.unread(), 0);
-        assert_eq!(conn.take_run().unwrap().len(), 2);
+        conn.serve(&core);
+        assert!(conn.flush().unwrap());
+
+        // Six answers, one per frame, in order.
+        let mut responses = conn.sock.written.as_slice();
+        for _ in 0..6 {
+            let payload = read_response(&mut responses).unwrap();
+            assert!(u64::from_le_bytes(payload.try_into().unwrap()) < 16);
+        }
+        assert!(responses.is_empty());
     }
 
     #[test]
@@ -346,8 +313,7 @@ mod tests {
             conn.sock.input.push(byte);
             let _ = conn.read_frames(64).unwrap();
         }
-        assert_eq!(conn.inflight(), 2);
-        assert_eq!(conn.take_run().unwrap().len(), 2);
+        assert_eq!(conn.run.len(), 2);
     }
 
     #[test]
@@ -377,12 +343,12 @@ mod tests {
         let sock = FakeSock::with_input(draw_frames(1));
         let mut conn = Connection::new(sock, 3);
         conn.read_frames(64).unwrap();
-        conn.take_run().unwrap();
+        conn.run.clear();
         // The peer accepts 100 bytes and then stalls: the backlog the cap
         // judges is what remains after flushing, not the response size.
         conn.sock.write_cap = 100;
         let big = vec![0u8; 4096];
-        conn.complete(&big, 1);
+        conn.out.append(&big);
         assert_eq!(conn.outbound_len(), 4096);
         assert!(
             !conn.flush().unwrap(),
@@ -521,9 +487,9 @@ mod tests {
     fn arbitrary_byte_streams_get_one_ordered_response_per_frame() {
         // Random request streams — valid frames of every opcode, known
         // opcodes with random payloads, unknown opcodes — arrive in random
-        // chunks under a random in-flight budget and run through the
-        // reactor's own sequence: read_frames → take_run → execute_run →
-        // complete. Half the streams end in an illegal length prefix.
+        // chunks under a random frame budget and run through the
+        // reactor's own sequence: read_frames → serve → flush. Half the
+        // streams end in an illegal length prefix.
         let service = ShardedService::new(
             (1..=16).map(f64::from).collect(),
             ServiceConfig {
@@ -572,20 +538,16 @@ mod tests {
                         failed = true;
                     }
                 }
-                while let Some(run) = conn.take_run() {
-                    let bytes = execute_run(&run, &core, &conn.rng);
-                    conn.complete(&bytes, run.len());
-                    conn.read_deferred = false;
-                    answered += run.len();
-                    assert!(conn.flush().unwrap(), "case {case}: flush stalled");
-                }
+                answered += conn.run.len();
+                conn.serve(&core);
+                assert!(conn.flush().unwrap(), "case {case}: flush stalled");
                 if failed || (fed == wire.len() && conn.sock.unread() == 0) {
                     break;
                 }
             }
             assert_eq!(failed, bad_prefix, "case {case}");
             assert_eq!(answered, expects.len(), "case {case}: frames lost");
-            assert_eq!(conn.inflight(), 0, "case {case}");
+            assert!(conn.run.is_empty(), "case {case}");
             if bad_prefix {
                 // The reader stopped right after the illegal prefix: not
                 // one body byte was read.

@@ -1,28 +1,36 @@
 //! The event-driven service front: N reactor threads multiplex every
-//! connection over raw `epoll`, and a small worker pool executes decoded
-//! frames — server threads are **O(reactors + workers)**, never
-//! O(connections).
+//! connection over raw `epoll` and serve each decoded run of frames
+//! inline — server threads are **O(reactors)**, never O(connections).
 //!
 //! ## Shape
 //!
 //! ```text
 //!  accept thread ──round-robin──▶ reactor 0..R   (epoll_wait loop)
-//!                                   │  ▲
-//!                       decoded     │  │ completions (response bytes)
-//!                       frame runs  ▼  │ + eventfd wakeup
-//!                                 worker pool 0..W ──▶ ServiceCore
+//!                                   │
+//!                     read ≤ budget frames ─▶ execute_run ─▶ ServiceCore
+//!                                   │
+//!                     append responses ─▶ flush ─▶ slow-consumer cap
 //! ```
 //!
-//! Each reactor thread owns an epoll instance and the [`Connection`] state
-//! of every socket registered with it. The loop is purely event-driven
-//! (`epoll_wait` with no timeout): readable sockets feed the resumable
-//! `FrameReader`, complete frames queue per connection, and a **run** of
-//! consecutive frames goes to the worker pool as one job. Workers never
-//! touch a socket — they post encoded response bytes back through the
-//! reactor's completion queue and ring its eventfd, and the reactor alone
-//! writes (so fd lifetime is single-threaded and teardown cannot race a
-//! write). Backpressure, ordering and partial-write handling live in
-//! [`crate::conn`]; this module is the readiness loop and the thread pool.
+//! Each reactor thread owns an epoll instance and the
+//! [`crate::conn::Connection`] state of every socket registered with it.
+//! The loop is purely event-driven (`epoll_wait` with no timeout): a
+//! readable socket feeds the resumable `FrameReader` for at most
+//! `inflight_budget` frames, and that run of frames executes right there,
+//! on the reactor, against the connection's own RNG. Its responses append to the connection's write buffer, which
+//! flushes at once; whatever the socket refused waits for `EPOLLOUT`. One
+//! thread does every read, execute and write of a connection, so response
+//! order is request order and fd lifetime is single-threaded (teardown
+//! cannot race a write). The eventfd only carries new registrations,
+//! shutdown and drain requests across threads.
+//!
+//! There is no offload path: a `PUBLISH` (with `FsyncPolicy::Always`, its
+//! WAL fsync too) or a large `UPDATE_BATCH` holds its reactor, and every
+//! other connection on it, for its duration. Deployments that must keep
+//! publishes off the request path set `ServiceConfig::publish_interval`,
+//! whose per-shard publisher threads publish without any request.
+//! Backpressure, ordering and partial-write handling live in
+//! [`crate::conn`]; this module is the readiness loop.
 //!
 //! ## Safety
 //!
@@ -43,27 +51,21 @@
 //!   referenced.
 
 #[cfg(target_os = "linux")]
-pub(crate) use imp::{
-    run_reactor, run_worker, JobQueue, ReactorContext, ReactorShared, Registration, Socket,
-};
+pub(crate) use imp::{run_reactor, ReactorContext, ReactorShared, Registration, Socket};
 
 #[cfg(target_os = "linux")]
 mod imp {
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::HashMap;
     use std::fs::File;
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Mutex};
     use std::time::Instant;
 
-    use lrb_rng::MersenneTwister64;
-
     use crate::conn::Connection;
-    use crate::protocol::Frame;
-    use crate::server::execute_run;
     use crate::sharded::ServiceCore;
 
     use super::sys;
@@ -130,39 +132,16 @@ mod imp {
         pub(crate) rng_seed: u64,
     }
 
-    /// A finished run's response bytes, posted by a worker.
-    pub(crate) struct Completion {
-        /// The connection the run belonged to.
-        pub(crate) token: u64,
-        /// Encoded response frames, in request order.
-        pub(crate) bytes: Vec<u8>,
-        /// How many requests the run answered.
-        pub(crate) frames: usize,
-    }
-
-    /// One frame run headed for the worker pool.
-    pub(crate) struct Job {
-        /// Index of the reactor that owns the connection.
-        pub(crate) reactor: usize,
-        /// The connection's token.
-        pub(crate) token: u64,
-        /// The frames to execute, in arrival order.
-        pub(crate) frames: Vec<Frame>,
-        /// The connection's RNG (uncontended: one run per connection).
-        pub(crate) rng: Arc<Mutex<MersenneTwister64>>,
-    }
-
     /// The shared face of one reactor thread: its epoll instance, its
-    /// eventfd, and the queues other threads feed it through.
+    /// eventfd, and the registration queue the accept thread feeds.
     pub(crate) struct ReactorShared {
         epoll: sys::Epoll,
         /// Nonblocking eventfd; any writer rings it to wake `epoll_wait`.
         wake: File,
         registrations: Mutex<Vec<Registration>>,
-        completions: Mutex<Vec<Completion>>,
         shutdown: AtomicBool,
-        /// Graceful-drain mode: stop reading new requests, let in-flight
-        /// runs complete and responses flush, then exit.
+        /// Graceful-drain mode: stop reading new requests, let buffered
+        /// responses flush, then exit.
         draining: AtomicBool,
         /// Wall-clock bound on the drain; connections still busy past it
         /// are abandoned.
@@ -175,7 +154,6 @@ mod imp {
                 epoll: sys::Epoll::new()?,
                 wake: sys::new_eventfd()?,
                 registrations: Mutex::new(Vec::new()),
-                completions: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
                 drain_deadline: Mutex::new(None),
@@ -183,7 +161,7 @@ mod imp {
         }
 
         /// Ring the reactor's eventfd (never blocks: the counter saturates).
-        pub(crate) fn wake(&self) {
+        fn wake(&self) {
             let _ = (&self.wake).write(&1u64.to_ne_bytes());
         }
 
@@ -196,15 +174,6 @@ mod imp {
             self.wake();
         }
 
-        /// Post a finished run's responses.
-        pub(crate) fn post_completion(&self, completion: Completion) {
-            self.completions
-                .lock()
-                .expect("completion queue poisoned")
-                .push(completion);
-            self.wake();
-        }
-
         /// Ask the reactor thread to exit (it closes every connection).
         pub(crate) fn request_shutdown(&self) {
             self.shutdown.store(true, Ordering::Release);
@@ -212,8 +181,8 @@ mod imp {
         }
 
         /// Ask the reactor to drain gracefully: stop reading requests,
-        /// complete in-flight runs, flush responses, then exit — or
-        /// abandon whatever is still busy at `deadline`.
+        /// flush buffered responses, then exit — or abandon whatever is
+        /// still unflushed at `deadline`.
         pub(crate) fn request_drain(&self, deadline: Instant) {
             *self.drain_deadline.lock().expect("drain deadline poisoned") = Some(deadline);
             self.draining.store(true, Ordering::Release);
@@ -229,83 +198,16 @@ mod imp {
         }
     }
 
-    /// The worker pool's shared injection queue. FIFO, so a burst of
-    /// arrivals cannot starve the oldest waiting connection.
-    pub(crate) struct JobQueue {
-        queue: Mutex<VecDeque<Job>>,
-        available: Condvar,
-        stop: AtomicBool,
-    }
-
-    impl JobQueue {
-        pub(crate) fn new() -> Self {
-            Self {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                stop: AtomicBool::new(false),
-            }
-        }
-
-        fn push(&self, job: Job) {
-            self.queue
-                .lock()
-                .expect("job queue poisoned")
-                .push_back(job);
-            self.available.notify_one();
-        }
-
-        fn pop(&self) -> Option<Job> {
-            let mut queue = self.queue.lock().expect("job queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    return Some(job);
-                }
-                if self.stop.load(Ordering::Acquire) {
-                    return None;
-                }
-                queue = self.available.wait(queue).expect("job queue wait poisoned");
-            }
-        }
-
-        /// Stop every worker once the queue drains.
-        pub(crate) fn shutdown(&self) {
-            self.stop.store(true, Ordering::Release);
-            self.available.notify_all();
-        }
-    }
-
     /// Everything one reactor thread needs.
     pub(crate) struct ReactorContext {
         /// This reactor's shared face.
         pub(crate) shared: Arc<ReactorShared>,
-        /// This reactor's index (stamped into jobs for completion routing).
-        pub(crate) index: usize,
-        /// The service core (telemetry only, on this thread).
+        /// The service core every run executes against.
         pub(crate) core: Arc<ServiceCore>,
-        /// The worker pool's injection queue.
-        pub(crate) jobs: Arc<JobQueue>,
-        /// Per-connection in-flight frame budget.
+        /// Max frames decoded per connection per readiness turn.
         pub(crate) budget: usize,
         /// Slow-consumer cap on buffered outbound bytes per connection.
         pub(crate) max_outbound: usize,
-    }
-
-    /// Worker-pool thread body: pop a run, execute it against the core,
-    /// post the encoded responses back to the owning reactor.
-    pub(crate) fn run_worker(
-        jobs: Arc<JobQueue>,
-        reactors: Arc<Vec<Arc<ReactorShared>>>,
-        core: Arc<ServiceCore>,
-    ) {
-        while let Some(job) = jobs.pop() {
-            let bytes = execute_run(&job.frames, &core, &job.rng);
-            let frames = job.frames.len();
-            reactors[job.reactor].post_completion(Completion {
-                token: job.token,
-                bytes,
-                frames,
-            });
-        }
     }
 
     /// What an I/O step decided about a connection's fate.
@@ -339,7 +241,7 @@ mod imp {
             for event in &events[..n] {
                 let (bits, token) = event.parts();
                 if token == WAKE_TOKEN {
-                    // Drain the eventfd counter; queues are drained below.
+                    // Drain the eventfd counter; the queue is drained below.
                     let mut scratch = [0u8; 8];
                     let _ = (&ctx.shared.wake).read(&mut scratch);
                     continue;
@@ -352,9 +254,9 @@ mod imp {
             if ctx.shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            // New connections and finished runs arrive through the queues;
-            // drain them every iteration (they are usually empty, and the
-            // eventfd guarantees a wakeup whenever they are not).
+            // New connections arrive through the queue; drain it every
+            // iteration (it is usually empty, and the eventfd guarantees a
+            // wakeup whenever it is not).
             let registrations: Vec<Registration> = std::mem::take(
                 &mut ctx
                     .shared
@@ -364,19 +266,6 @@ mod imp {
             );
             for registration in registrations {
                 install(&ctx, &mut conns, registration);
-            }
-            let completions: Vec<Completion> = std::mem::take(
-                &mut ctx
-                    .shared
-                    .completions
-                    .lock()
-                    .expect("completion queue poisoned"),
-            );
-            for completion in completions {
-                let token = completion.token;
-                if matches!(handle_completion(&ctx, &mut conns, completion), Fate::Close) {
-                    close_conn(&ctx, &mut conns, token);
-                }
             }
             if ctx.shared.is_draining() {
                 if !drain_started {
@@ -388,10 +277,7 @@ mod imp {
                         update_interest(&ctx, conn, token);
                     }
                 }
-                let busy = conns
-                    .values()
-                    .filter(|conn| conn.inflight() > 0 || conn.wants_write())
-                    .count();
+                let busy = conns.values().filter(|conn| conn.wants_write()).count();
                 let expired = ctx
                     .shared
                     .deadline()
@@ -433,7 +319,9 @@ mod imp {
         conns.insert(registration.token, conn);
     }
 
-    /// React to readiness bits on a connection.
+    /// React to readiness bits on a connection: flush what the socket can
+    /// take now, then read, execute and answer one run of at most
+    /// `budget` frames.
     fn handle_io(
         ctx: &ReactorContext,
         conns: &mut HashMap<u64, Connection<Socket>>,
@@ -450,81 +338,44 @@ mod imp {
             return Fate::Close;
         }
         // While draining, requests still sitting in the kernel buffer are
-        // not accepted — the drain completes what is in flight, nothing
-        // more. (A peer hangup still closes via EPOLLHUP/EPOLLERR above.)
+        // not accepted. (A peer hangup still closes via EPOLLHUP/EPOLLERR
+        // above.)
         if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !ctx.shared.is_draining() {
             match conn.read_frames(ctx.budget) {
-                Ok(deferred) => {
-                    if deferred {
-                        ctx.core.telemetry().record_read_deferred();
-                    }
-                }
+                // The budget cut this turn short; level-triggered epoll
+                // reports the rest of the kernel buffer on the next one,
+                // after the reactor's other ready connections had theirs.
+                Ok(true) => ctx.core.telemetry().record_read_deferred(),
+                Ok(false) => {}
                 // EOF, framing violation or transport error: the protocol
-                // has no half-close, so any pending responses die with the
-                // connection.
+                // has no half-close, so the frames of this turn die with
+                // the connection.
                 Err(_) => return Fate::Close,
             }
-            submit_run(ctx, conn, token);
+            conn.serve(&ctx.core);
+            if conn.flush().is_err() {
+                return Fate::Close;
+            }
+            // The slow-consumer cap judges the backlog the socket refused
+            // to take, so a fast consumer may receive responses of any
+            // size while a stalled one cannot pin unbounded memory.
+            if conn.outbound_len() > ctx.max_outbound {
+                ctx.core
+                    .telemetry()
+                    .record_slow_consumer(token, conn.outbound_len() as u64);
+                return Fate::Close;
+            }
         }
         update_interest(ctx, conn, token);
         Fate::Keep
     }
 
-    /// Hand the connection's next pending run to the worker pool.
-    fn submit_run(ctx: &ReactorContext, conn: &mut Connection<Socket>, token: u64) {
-        let depth = conn.inflight();
-        if let Some(frames) = conn.take_run() {
-            ctx.core.telemetry().record_submit_depth(depth as u64);
-            ctx.jobs.push(Job {
-                reactor: ctx.index,
-                token,
-                frames,
-                rng: Arc::clone(&conn.rng),
-            });
-        }
-    }
-
-    /// Fold a finished run back into its connection: queue the responses,
-    /// flush, re-open the read side if the budget freed, start the next
-    /// run.
-    fn handle_completion(
-        ctx: &ReactorContext,
-        conns: &mut HashMap<u64, Connection<Socket>>,
-        completion: Completion,
-    ) -> Fate {
-        let Some(conn) = conns.get_mut(&completion.token) else {
-            return Fate::Keep; // connection died while the run executed
-        };
-        conn.complete(&completion.bytes, completion.frames);
-        if conn.flush().is_err() {
-            return Fate::Close;
-        }
-        // The slow-consumer cap judges the backlog the socket refused to
-        // take, so a fast consumer may receive responses of any size while
-        // a stalled one cannot pin unbounded memory.
-        if conn.outbound_len() > ctx.max_outbound {
-            ctx.core
-                .telemetry()
-                .record_slow_consumer(completion.token, conn.outbound_len() as u64);
-            return Fate::Close;
-        }
-        if conn.read_deferred && conn.inflight() < ctx.budget {
-            // Budget freed: re-arm EPOLLIN below. Level-triggered epoll
-            // re-fires immediately if the kernel buffer still holds the
-            // frames we deferred.
-            conn.read_deferred = false;
-        }
-        submit_run(ctx, conn, completion.token);
-        update_interest(ctx, conn, completion.token);
-        Fate::Keep
-    }
-
     /// Reconcile the connection's epoll interest mask with its state:
-    /// read interest unless the budget deferred it (or a drain closed the
-    /// read side for good), write interest while responses are buffered.
+    /// read interest unless a drain closed the read side for good, write
+    /// interest while responses are buffered.
     fn update_interest(ctx: &ReactorContext, conn: &mut Connection<Socket>, token: u64) {
         let mut desired = sys::EPOLLRDHUP;
-        if !conn.read_deferred && !ctx.shared.is_draining() {
+        if !ctx.shared.is_draining() {
             desired |= sys::EPOLLIN;
         }
         if conn.wants_write() {

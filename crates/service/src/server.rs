@@ -2,38 +2,46 @@
 //! length-prefixed binary protocol of [`crate::protocol`].
 //!
 //! On Linux the server runs [`ServerConfig::reactors`] epoll reactor
-//! threads (the private `reactor` module) multiplexing every connection, plus a
-//! small worker pool that executes decoded frames against the sharded
-//! core — total thread count is **O(reactors + workers + shards)**
-//! regardless of how many connections are open. Connections are
-//! nonblocking; idle ones cost nothing (no poll-loop wakeups, no thread
-//! stacks). On other platforms a blocking thread-per-connection fallback
-//! keeps the same wire behaviour.
+//! threads (the private `reactor` module) multiplexing every connection
+//! and executing its decoded frames inline against the sharded core —
+//! total thread count is **O(reactors + shards)** regardless of how many
+//! connections are open. Connections are nonblocking; idle ones cost
+//! nothing (no poll-loop wakeups, no thread stacks). On other platforms a
+//! blocking thread-per-connection fallback keeps the same wire behaviour.
 //!
 //! Request execution semantics per connection:
 //!
-//! * frames execute strictly in arrival order and responses are written in
-//!   that order, so a pipelining client correlates by position;
+//! * frames execute strictly in arrival order, on the reactor thread that
+//!   owns the connection, and responses are written in that order, so a
+//!   pipelining client correlates by position;
 //! * a **run** of `k >= 1` consecutive `DRAW` frames from one connection
 //!   is served by a single fused two-level batch
 //!   ([`ServiceCore::draw_many`]) on the connection's own RNG — pipelined
 //!   single draws get batch-draw throughput automatically, and a lone
 //!   `DRAW` is simply a run of one;
-//! * at most [`ServerConfig::inflight_budget`] decoded-but-unanswered
-//!   frames per connection; beyond that the reactor stops reading the
-//!   connection (TCP flow control pushes back on the client);
+//! * at most [`ServerConfig::inflight_budget`] frames are decoded from a
+//!   connection per readiness turn and answered before it reads more; the
+//!   rest waits in the socket for a later turn (TCP flow control pushes
+//!   back on the client);
+//! * a `PUBLISH` (including a `FsyncPolicy::Always` WAL fsync) or a large
+//!   `UPDATE_BATCH` runs on its reactor too, stalling that reactor's other
+//!   connections while it runs; [`ServiceConfig::publish_interval`]
+//!   publisher threads keep publishes off the request path;
 //! * a connection whose buffered responses exceed
 //!   [`ServerConfig::max_outbound_bytes`] is disconnected (slow-consumer
 //!   policy) with a journaled [`ServiceEvent::SlowConsumer`] reason.
 //!
 //! [`ServiceEvent::SlowConsumer`]: crate::telemetry::ServiceEvent
+//! [`ServiceConfig::publish_interval`]: crate::sharded::ServiceConfig::publish_interval
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+#[cfg(not(target_os = "linux"))]
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,17 +62,16 @@ const SHUTDOWN_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 ///
 /// The defaults suit a small host: reactors scale with cores up to 4
 /// (thousands of mostly-idle connections per reactor are fine — each costs
-/// one epoll registration and a couple of buffers, not a thread), workers
-/// with cores up to 8 (workers run the actual draws; more than cores just
-/// adds contention on the shard snapshots).
+/// one epoll registration and a couple of buffers, not a thread). Each
+/// reactor both multiplexes its connections and executes their requests.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Reactor (event-loop) threads; `0` = `min(4, cores)`.
+    /// Reactor (event-loop and request-execution) threads; `0` =
+    /// `min(4, cores)`.
     pub reactors: usize,
-    /// Worker (request-execution) threads; `0` = `max(2, min(8, cores))`.
-    pub workers: usize,
-    /// Max decoded-but-unanswered frames per connection before the server
-    /// stops reading it (connection-level backpressure).
+    /// Max frames decoded from one connection per readiness turn; they
+    /// are answered before the reactor reads that connection again
+    /// (connection-level fairness and backpressure).
     pub inflight_budget: usize,
     /// Max buffered outbound response bytes per connection before the
     /// slow-consumer policy disconnects it.
@@ -75,7 +82,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             reactors: 0,
-            workers: 0,
             inflight_budget: 64,
             max_outbound_bytes: 16 << 20,
         }
@@ -83,27 +89,15 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn cores() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
     /// The reactor-thread count after resolving the `0 = auto` default.
     pub fn resolved_reactors(&self) -> usize {
         if self.reactors > 0 {
             self.reactors
         } else {
-            Self::cores().min(4)
-        }
-    }
-
-    /// The worker-thread count after resolving the `0 = auto` default.
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            Self::cores().clamp(2, 8)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(4)
         }
     }
 }
@@ -126,9 +120,8 @@ enum Incoming {
 }
 
 /// A running selection server. Dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops the accept loop, the reactors and
-/// the worker pool, closes every connection and, for UDS, removes the
-/// socket file.
+/// [`shutdown`](Self::shutdown)) stops the accept loop and the reactors,
+/// closes every connection and, for UDS, removes the socket file.
 pub struct ServiceServer {
     addr: ServerAddr,
     stop: Arc<AtomicBool>,
@@ -230,8 +223,8 @@ impl ServiceServer {
         &self.addr
     }
 
-    /// Stop accepting, wake and join the reactors and workers, close every
-    /// connection and clean up the socket. Also runs on drop.
+    /// Stop accepting, wake and join the reactors, close every connection
+    /// and clean up the socket. Also runs on drop.
     ///
     /// This is the *abrupt* path: connections close regardless of
     /// in-flight work. For a graceful stop that lets in-flight requests
@@ -245,10 +238,10 @@ impl ServiceServer {
     }
 
     /// Gracefully drain and stop within `deadline`: stop accepting new
-    /// connections, stop *reading* on existing ones, let every in-flight
-    /// run complete and its response flush, then close. Connections still
-    /// busy when the deadline expires are closed anyway and counted as
-    /// abandoned in the journaled
+    /// connections, stop *reading* on existing ones (every request already
+    /// read has been answered), let buffered responses flush, then close.
+    /// Connections still unflushed when the deadline expires are closed
+    /// anyway and counted as abandoned in the journaled
     /// [`ServiceEvent::Drained`](crate::ServiceEvent::Drained) (one entry
     /// per reactor). Also safe to call after a shutdown (no-op).
     ///
@@ -312,10 +305,8 @@ fn connection_seed(seed: u64, token: u64) -> u64 {
 
 #[cfg(target_os = "linux")]
 struct Runtime {
-    reactors: Vec<Arc<crate::reactor::ReactorShared>>,
+    reactors: Arc<Vec<Arc<crate::reactor::ReactorShared>>>,
     reactor_threads: Vec<JoinHandle<()>>,
-    jobs: Arc<crate::reactor::JobQueue>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 #[cfg(target_os = "linux")]
@@ -327,69 +318,49 @@ impl Runtime {
         seed: u64,
         config: ServerConfig,
     ) -> std::io::Result<(Self, JoinHandle<()>)> {
-        use crate::reactor::{JobQueue, ReactorContext, ReactorShared};
+        use crate::reactor::{ReactorContext, ReactorShared};
 
-        let reactor_count = config.resolved_reactors();
-        let worker_count = config.resolved_workers();
-        let jobs = Arc::new(JobQueue::new());
-
-        let mut reactors = Vec::with_capacity(reactor_count);
-        for _ in 0..reactor_count {
-            reactors.push(Arc::new(ReactorShared::new()?));
-        }
-        let reactors_shared = Arc::new(reactors.clone());
-
-        let mut reactor_threads = Vec::with_capacity(reactor_count);
-        for (index, shared) in reactors.iter().enumerate() {
-            let ctx = ReactorContext {
-                shared: Arc::clone(shared),
-                index,
-                core: Arc::clone(&core),
-                jobs: Arc::clone(&jobs),
-                budget: config.inflight_budget.max(1),
-                max_outbound: config.max_outbound_bytes.max(1),
-            };
-            reactor_threads.push(std::thread::spawn(move || crate::reactor::run_reactor(ctx)));
-        }
-
-        let mut worker_threads = Vec::with_capacity(worker_count);
-        for _ in 0..worker_count {
-            let jobs = Arc::clone(&jobs);
-            let reactors = Arc::clone(&reactors_shared);
-            let core = Arc::clone(&core);
-            worker_threads.push(std::thread::spawn(move || {
-                crate::reactor::run_worker(jobs, reactors, core)
-            }));
-        }
-
+        let reactors = (0..config.resolved_reactors())
+            .map(|_| ReactorShared::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let reactors = Arc::new(reactors);
+        let reactor_threads = reactors
+            .iter()
+            .map(|shared| {
+                let ctx = ReactorContext {
+                    shared: Arc::clone(shared),
+                    core: Arc::clone(&core),
+                    budget: config.inflight_budget.max(1),
+                    max_outbound: config.max_outbound_bytes.max(1),
+                };
+                std::thread::spawn(move || crate::reactor::run_reactor(ctx))
+            })
+            .collect();
         let accept = {
-            let reactors = Arc::clone(&reactors_shared);
+            let reactors = Arc::clone(&reactors);
             std::thread::spawn(move || accept_loop(listener, reactors, stop, seed))
         };
         Ok((
             Self {
                 reactors,
                 reactor_threads,
-                jobs,
-                worker_threads,
             },
             accept,
         ))
     }
 
     fn shutdown(&mut self) {
-        for reactor in &self.reactors {
+        for reactor in self.reactors.iter() {
             reactor.request_shutdown();
         }
         self.join_all();
     }
 
-    /// Graceful drain: the reactors keep running (and the workers keep
-    /// executing their in-flight runs) until every connection is idle or
-    /// `deadline` elapses, then everything joins.
+    /// Graceful drain: the reactors keep flushing until every connection's
+    /// responses are written or `deadline` elapses, then they join.
     fn shutdown_within(&mut self, deadline: Duration) {
-        let by = std::time::Instant::now() + deadline;
-        for reactor in &self.reactors {
+        let by = Instant::now() + deadline;
+        for reactor in self.reactors.iter() {
             reactor.request_drain(by);
         }
         self.join_all();
@@ -397,12 +368,6 @@ impl Runtime {
 
     fn join_all(&mut self) {
         for handle in self.reactor_threads.drain(..) {
-            let _ = handle.join();
-        }
-        // Workers stop only after the reactors exit: a draining reactor
-        // depends on them to finish the runs it is waiting on.
-        self.jobs.shutdown();
-        for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -540,9 +505,8 @@ fn fallback_accept_loop(
         };
         let token = next_token;
         next_token += 1;
-        let rng = Arc::new(Mutex::new(lrb_rng::SeedableSource::seed_from_u64(
-            connection_seed(seed, token),
-        )));
+        let mut rng: MersenneTwister64 =
+            lrb_rng::SeedableSource::seed_from_u64(connection_seed(seed, token));
         let handler = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
@@ -554,7 +518,7 @@ fn fallback_accept_loop(
                         Ok(None) => continue,
                         Err(_) => return,
                     };
-                    let bytes = execute_run(std::slice::from_ref(&frame), &core, &rng);
+                    let bytes = execute_run(std::slice::from_ref(&frame), &core, &mut rng);
                     if stream.write_all(&bytes).is_err() {
                         return;
                     }
@@ -568,7 +532,7 @@ fn fallback_accept_loop(
 }
 
 // ---------------------------------------------------------------------------
-// Frame execution (shared by the reactor workers and the fallback).
+// Frame execution (shared by the reactors and the fallback).
 // ---------------------------------------------------------------------------
 
 /// Execute a run of frames from one connection, in order, and return the
@@ -582,21 +546,19 @@ fn fallback_accept_loop(
 pub(crate) fn execute_run(
     frames: &[Frame],
     core: &ServiceCore,
-    rng: &Mutex<MersenneTwister64>,
+    rng: &mut MersenneTwister64,
 ) -> Vec<u8> {
     let is_draw = |frame: &Frame| frame.opcode == OpCode::Draw as u8 && frame.payload.is_empty();
     let mut out = Vec::new();
-    // Runs are serial per connection, so this lock is never contended.
-    let mut rng = rng.lock().expect("connection rng poisoned");
     let telemetry = core.telemetry();
     let mut i = 0;
     while i < frames.len() {
         let started = Instant::now();
         let run = frames[i..].iter().take_while(|f| is_draw(f)).count();
         if run == 0 {
-            execute_one(&frames[i], core, &mut rng, &mut out);
+            execute_one(&frames[i], core, rng, &mut out);
         } else {
-            match core.draw_many(&mut *rng, run) {
+            match core.draw_many(rng, run) {
                 Ok(indices) => {
                     telemetry.record_batch(run as u64);
                     for index in indices {
@@ -782,12 +744,12 @@ mod tests {
             ShardedService::new((1..=16).map(f64::from).collect(), ServiceConfig::default())
                 .unwrap();
         let core = service.core();
-        let rng = Mutex::new(MersenneTwister64::seed_from_u64(0x5EED));
+        let mut rng = MersenneTwister64::seed_from_u64(0x5EED);
         let telemetry = core.telemetry();
         let (batches, batched_draws) = (telemetry.batches(), telemetry.batched_draws());
 
         let frames = vec![draw_frame(); 16];
-        let bytes = execute_run(&frames, &core, &rng);
+        let bytes = execute_run(&frames, &core, &mut rng);
 
         assert_eq!(telemetry.batches(), batches + 1);
         assert_eq!(telemetry.batched_draws(), batched_draws + 16);

@@ -142,8 +142,8 @@ impl ServiceConfig {
 /// level-one cut — everything a batch needs, owned by the caller and
 /// reused across batches so the steady-state path never allocates.
 ///
-/// Hold one per worker/connection (the server's workers do, through a
-/// thread-local inside [`ServiceCore::draw_into`]) or pass your own to
+/// Hold one per thread (the server's reactors do, through a thread-local
+/// inside [`ServiceCore::draw_into`]) or pass your own to
 /// [`ServiceCore::draw_into_with_plan`]. Buffers grow to the largest
 /// batch/shard-count seen and stay there.
 #[derive(Debug)]
@@ -194,7 +194,7 @@ impl Default for DrawPlan {
 
 thread_local! {
     /// The per-thread plan behind [`ServiceCore::draw_into`] — one warm
-    /// scratch per server worker / publisher / caller thread.
+    /// scratch per server reactor / publisher / caller thread.
     static THREAD_PLAN: RefCell<DrawPlan> = const { RefCell::new(DrawPlan::new()) };
 }
 
@@ -333,37 +333,13 @@ impl ServiceCore {
         self.telemetry.set_imbalance(&self.totals.snapshot());
     }
 
-    /// Draw one global category index: level-one Fenwick pick over the
-    /// shard totals, then the shard's lock-free snapshot draw.
+    /// Draw one global category index: a one-slot
+    /// [`draw_into`](Self::draw_into), so it shares the planner's route
+    /// and its warm per-thread scratch and allocates nothing.
     pub fn draw(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-        let started = Instant::now();
-        let result = match self.try_draw(rng) {
-            // The cut can go stale against a fresh publish (e.g. a shard
-            // evaporated to zero after its cell was read): re-read the
-            // cells once and retry before giving up.
-            Err(SelectionError::AllZeroFitness) => {
-                self.refresh_totals();
-                self.try_draw(rng)
-            }
-            other => other,
-        };
-        if result.is_ok() {
-            self.telemetry
-                .record_draws(1, started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
-        result
-    }
-
-    fn try_draw(&self, rng: &mut dyn RandomSource) -> Result<usize, SelectionError> {
-        let cut = self.totals.cut();
-        let Some((shard, _residual)) = cut.pick_uniform(rng.next_f64()) else {
-            return Err(SelectionError::AllZeroFitness);
-        };
-        self.telemetry.record_route(shard as u32, 1);
-        let local = self.shards[shard]
-            .engine
-            .read(|snapshot| snapshot.sample(rng))?;
-        Ok(self.offsets[shard] + local)
+        let mut slot = [0usize];
+        self.draw_into(rng, &mut slot)?;
+        Ok(slot[0])
     }
 
     /// Fill `out` with independent draws (with replacement) through the
@@ -676,7 +652,7 @@ impl ServiceCore {
             )
             .counter(
                 "lrb_service_read_deferrals_total",
-                "Times a connection's reads were paused by the in-flight budget",
+                "Readiness turns cut short by the per-turn frame budget",
                 t.read_deferrals(),
             )
             .counter(
@@ -713,11 +689,6 @@ impl ServiceCore {
                 "lrb_service_update_ns",
                 "Service-side update enqueue latency",
                 &t.update_latency(),
-            )
-            .histogram(
-                "lrb_service_submit_depth",
-                "In-flight frame depth when runs were handed to workers",
-                &t.submit_depth(),
             );
         for (s, shard) in self.shards.iter().enumerate() {
             let obs = shard.engine.observability();

@@ -48,13 +48,12 @@ pub enum ServiceEvent {
     },
     /// One reactor finished a graceful drain
     /// ([`ServiceServer::shutdown_within`](crate::ServiceServer::shutdown_within)):
-    /// it stopped reading, let in-flight runs complete and flushed
-    /// buffered responses before closing.
+    /// it stopped reading and flushed buffered responses before closing.
     Drained {
         /// Connections the reactor held when the drain ended.
         conns: u64,
-        /// Connections closed with work still in flight or responses
-        /// still buffered because the drain deadline expired.
+        /// Connections closed with responses still buffered because the
+        /// drain deadline expired.
         abandoned: u64,
     },
 }
@@ -89,13 +88,10 @@ pub struct ServiceTelemetry {
     connects: Counter,
     /// Connections closed (any reason).
     disconnects: Counter,
-    /// Times a connection's reading was paused by the in-flight budget.
+    /// Readiness turns cut short by the per-turn frame budget.
     read_deferrals: Counter,
     /// Connections disconnected by the slow-consumer outbound cap.
     slow_consumer_disconnects: Counter,
-    /// In-flight frame depth observed when runs were handed to workers
-    /// (queue-depth distribution: how deep pipelining actually runs).
-    submit_depth: Histogram,
     /// Last-`SERVICE_JOURNAL_CAPACITY` service events.
     journal: FlightRecorder<ServiceEvent>,
 }
@@ -124,7 +120,6 @@ impl ServiceTelemetry {
             disconnects: Counter::new(),
             read_deferrals: Counter::new(),
             slow_consumer_disconnects: Counter::new(),
-            submit_depth: Histogram::new(),
             journal: FlightRecorder::new(SERVICE_JOURNAL_CAPACITY),
         }
     }
@@ -187,7 +182,8 @@ impl ServiceTelemetry {
         self.disconnects.incr();
     }
 
-    /// Record one budget-induced read deferral (backpressure engaged).
+    /// Record one readiness turn cut short by the frame budget
+    /// (backpressure engaged).
     pub(crate) fn record_read_deferred(&self) {
         self.read_deferrals.incr();
     }
@@ -202,11 +198,6 @@ impl ServiceTelemetry {
         self.slow_consumer_disconnects.incr();
         self.journal
             .push(ServiceEvent::SlowConsumer { token, buffered });
-    }
-
-    /// Record the in-flight depth at which a run was handed to a worker.
-    pub(crate) fn record_submit_depth(&self, depth: u64) {
-        self.submit_depth.record(depth);
     }
 
     /// Publish the shard-imbalance gauge from a totals cut.
@@ -291,11 +282,6 @@ impl ServiceTelemetry {
     /// Slow-consumer disconnects so far.
     pub fn slow_consumer_disconnects(&self) -> u64 {
         self.slow_consumer_disconnects.get()
-    }
-
-    /// Distribution of in-flight depth when runs went to workers.
-    pub fn submit_depth(&self) -> HistogramSnapshot {
-        self.submit_depth.snapshot()
     }
 
     /// The recent service events, oldest first.

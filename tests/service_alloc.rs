@@ -7,7 +7,8 @@
 //! reused storage. This test installs a counting global allocator (this
 //! test binary only; each integration-test target is its own process) and
 //! asserts **zero** submitter-side allocator events across thousands of
-//! warm batches, for the inline and the pooled planner path.
+//! warm batches, for the inline and the pooled planner path, and across
+//! thousands of warm single draws.
 //!
 //! Counting is **per thread** (a `const`-initialised `thread_local`, so
 //! the counter itself never allocates): fan-out helper threads own their
@@ -112,4 +113,26 @@ fn thread_local_plan_path_is_quiet_after_first_use() {
         }
     });
     assert_eq!(events, 0, "thread-local plan path touched the allocator");
+}
+
+#[test]
+fn warm_single_draws_allocate_nothing() {
+    // `draw` is a one-slot `draw_into` on the per-thread plan, so once the
+    // plan is warm a single two-level draw never touches the allocator.
+    let service = build(1);
+    let mut rng = Philox4x32::seed_from_u64(0xD4A3);
+    for _ in 0..4 {
+        service.draw(&mut rng).expect("warm-up draw failed");
+    }
+    let (events, drawn) = allocator_events(|| {
+        (0..10_000)
+            .filter(|_| {
+                service
+                    .draw(&mut rng)
+                    .is_ok_and(|index| index < service.len())
+            })
+            .count()
+    });
+    assert_eq!(drawn, 10_000, "a warm draw failed or left the range");
+    assert_eq!(events, 0, "warm single draws touched the allocator");
 }

@@ -2,16 +2,19 @@
 //! storm with interleaved pipelined draws (chi-square on the merged
 //! histogram, bounded server threads), the in-flight backpressure budget,
 //! the slow-consumer disconnect policy, response ordering under
-//! pipelining, and torn-frame trickle delivery through the reactor path.
+//! pipelining, torn-frame trickle delivery through the reactor path, and
+//! a `MAX_FRAME` body and a half-close over a real socket.
 
 #![cfg(unix)]
 
 use std::io::{Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 use lrb_service::{
-    protocol, ServerConfig, ServiceClient, ServiceConfig, ServiceEvent, ServiceServer,
-    ShardedService,
+    protocol, ServerConfig, ServiceClient, ServiceConfig, ServiceError, ServiceEvent,
+    ServiceServer, ShardedService,
 };
 use lrb_stats::chi_square_gof;
 
@@ -408,5 +411,84 @@ fn client_rides_through_a_server_restart() {
     assert!(stats.reconnects >= 1, "client never reconnected: {stats:?}");
     assert!(stats.retries >= 1, "client never retried: {stats:?}");
     assert!(client.is_connected());
+    drop(server);
+}
+
+#[test]
+fn max_frame_garbage_and_a_half_close_leave_the_reactor_serving() {
+    let service = ShardedService::new(weights_1_to_24(), ServiceConfig::default()).unwrap();
+    let path = socket_path("robust");
+    // One reactor serves every connection, so a panic or a wedged loop on
+    // either hostile connection would starve the well-behaved one.
+    let server = ServiceServer::bind_uds_with(
+        service.core(),
+        &path,
+        0x0B57,
+        ServerConfig {
+            reactors: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // A frame of exactly MAX_FRAME bytes is legal framing, but a DRAW
+    // takes no payload: the answer is an in-band PROTOCOL error, and the
+    // stream stays in sync for the DRAW behind it.
+    let mut stream = UnixStream::connect(&path).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut wire = Vec::new();
+    protocol::encode_request(
+        &mut wire,
+        protocol::OpCode::Draw,
+        &vec![0xA5; protocol::MAX_FRAME - 1],
+    );
+    assert_eq!(wire.len(), 4 + protocol::MAX_FRAME);
+    protocol::encode_request(&mut wire, protocol::OpCode::Draw, &[]);
+    stream.write_all(&wire).unwrap();
+    match protocol::read_response(&mut stream) {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, protocol::codes::PROTOCOL),
+        other => panic!("a payload on DRAW answered {other:?}"),
+    }
+    let payload = protocol::read_response(&mut stream).unwrap();
+    assert!(u64::from_le_bytes(payload.try_into().unwrap()) < 24);
+
+    // Pipelined DRAWs, then a half-close: the server answers at most what
+    // was asked and closes the connection instead of hanging or panicking.
+    const PIPELINED: usize = 200;
+    let mut half = UnixStream::connect(&path).unwrap();
+    half.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut wire = Vec::new();
+    for _ in 0..PIPELINED {
+        protocol::encode_request(&mut wire, protocol::OpCode::Draw, &[]);
+    }
+    half.write_all(&wire).unwrap();
+    half.shutdown(Shutdown::Write).unwrap();
+    let mut answers = Vec::new();
+    half.read_to_end(&mut answers)
+        .expect("the server closes the half-closed connection");
+    let mut reader = answers.as_slice();
+    let mut answered = 0usize;
+    while !reader.is_empty() {
+        let payload = protocol::read_response(&mut reader).expect("whole response frames");
+        assert!(u64::from_le_bytes(payload.try_into().unwrap()) < 24);
+        answered += 1;
+    }
+    assert!(
+        answered <= PIPELINED,
+        "{answered} answers to {PIPELINED} requests"
+    );
+    assert!(service.telemetry().disconnects() >= 1);
+
+    // The reactor survived both: old and new connections still draw.
+    let mut encoded = Vec::new();
+    protocol::encode_request(&mut encoded, protocol::OpCode::Draw, &[]);
+    stream.write_all(&encoded).unwrap();
+    let payload = protocol::read_response(&mut stream).unwrap();
+    assert!(u64::from_le_bytes(payload.try_into().unwrap()) < 24);
+    let mut client = ServiceClient::connect_uds(&path).unwrap();
+    assert!(client.draw().unwrap() < 24);
     drop(server);
 }
